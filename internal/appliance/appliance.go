@@ -65,10 +65,9 @@ type Config struct {
 	// core.Config); both default to the paper-faithful behaviour.
 	SessionCache bool
 	StatsTTL     time.Duration
-	// PollHub / PollHubShards select the sharded batched status collector
-	// (see core.Config); off keeps one poller goroutine per invocation.
-	PollHub       bool
-	PollHubShards int
+	// PollHub selects the sharded batched status collector (see
+	// core.Config); off keeps one poller goroutine per invocation.
+	PollHub bool
 	// PushEvents selects the push-based collector: one long-lived
 	// /gram/events stream per session instead of polling, with the poll
 	// hub as its fallback rung (see core.Config). Off by default.
@@ -221,7 +220,6 @@ func (img *Image) Boot(ln net.Listener) (*Appliance, error) {
 		SessionCache:         cfg.SessionCache,
 		StatsTTL:             cfg.StatsTTL,
 		PollHub:              cfg.PollHub,
-		PollHubShards:        cfg.PollHubShards,
 		PushEvents:           cfg.PushEvents,
 		CoalesceStaging:      cfg.CoalesceStaging,
 		SubmitHub:            cfg.SubmitHub,

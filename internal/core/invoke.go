@@ -130,29 +130,23 @@ func (inv *Invocation) StatusJSON() (string, error) {
 	return string(b), err
 }
 
-func (inv *Invocation) setOutput(out string) {
-	inv.mu.Lock()
-	inv.output = out
-	inv.mu.Unlock()
-}
-
-// finish records a terminal state once.
-func (inv *Invocation) finish(s InvState, msg string, at time.Time) {
+// finish records a terminal state once and reports whether this call
+// won. The span tree is ended before DoneChan closes, so a caller woken
+// by DoneChan always finds the finished trace.
+func (inv *Invocation) finish(s InvState, msg string, at time.Time) bool {
 	inv.mu.Lock()
 	if inv.state.Terminal() {
 		inv.mu.Unlock()
-		return
+		return false
 	}
 	inv.state = s
 	inv.message = msg
 	inv.endedAt = at
-	close(inv.done)
-	cb := inv.onTerminal
 	inv.mu.Unlock()
 	// End the span tree exactly once, on whichever path won the race —
-	// stock poller, long-poll, hub, watchdog, or cancel. Any non-DONE
-	// terminal state ends it with error status, so cancelled and
-	// watchdog-killed invocations never leak an open or "ok" tree.
+	// a collector, the watchdog, or a cancel echo. Any non-DONE terminal
+	// state ends it with error status, so cancelled and watchdog-killed
+	// invocations never leak an open or "ok" tree.
 	if s != InvDone {
 		inv.collectSpan.Error(msg)
 		inv.rootSpan.Error(msg)
@@ -160,9 +154,56 @@ func (inv *Invocation) finish(s InvState, msg string, at time.Time) {
 	inv.collectSpan.Set("state", string(s))
 	inv.collectSpan.EndAt(at)
 	inv.rootSpan.EndAt(at)
-	if cb != nil {
-		cb(inv)
+	close(inv.done)
+	if inv.onTerminal != nil {
+		inv.onTerminal(inv)
 	}
+	return true
+}
+
+// remoteStates is the invocation lifecycle's transition table: the
+// terminal grid-job states and the invocation state each settles to.
+// A state missing from the table (QUEUED, RUNNING, ...) is not terminal.
+// The site's own walltime limit (TIMEOUT) counts as a kill, like the
+// watchdog's.
+var remoteStates = map[string]InvState{
+	"DONE":      InvDone,
+	"FAILED":    InvFailed,
+	"CANCELLED": InvCancelled,
+	"TIMEOUT":   InvKilled,
+}
+
+// settle records the invocation state a collector observed remotely. It
+// reports whether this call settled the invocation: false for a
+// non-terminal remote state, or when another path settled it first.
+func (o *OnServe) settle(inv *Invocation, remoteState, msg string) bool {
+	s, ok := remoteStates[remoteState]
+	return ok && inv.finish(s, msg, o.clock.Now())
+}
+
+// kill is the watchdog's verdict. The kill is recorded before the grid
+// job is cancelled, and only by the call that settled the invocation, so
+// the site's CANCELLED echo of this very cancel can never settle it as a
+// user cancel.
+func (o *OnServe) kill(inv *Invocation) {
+	msg := fmt.Sprintf("watchdog: invocation exceeded %v", o.cfg.InvocationTimeout)
+	if inv.finish(InvKilled, msg, o.clock.Now()) {
+		// A failed cancel changes nothing here: the kill is recorded, and
+		// the job's walltime (the same deadline) still bounds it at the site.
+		_, _ = o.cfg.Agent.Cancel(inv.sessionID, inv.JobID)
+	}
+}
+
+// storeOutput stores a fetched stdout snapshot in the invocation,
+// accounting the fetch and the local disk spill every collector pays.
+func (o *OnServe) storeOutput(inv *Invocation, out string) {
+	o.collector.outputFetches.Add(1)
+	o.collector.outputBytes.Add(uint64(len(out)))
+	o.collector.pollDiskWrites.Add(1)
+	o.cfg.Probe.DiskWrite(len(out))
+	inv.mu.Lock()
+	inv.output = out
+	inv.mu.Unlock()
 }
 
 // Invoke is Use Scenario B (paper §VII-B): translate one Web-service
@@ -270,11 +311,22 @@ func (o *OnServe) invoke(serviceName string, args map[string]string, root *trace
 	root.Set("site", site)
 	root.Set("job_id", jobID)
 
+	// The watchdog (paper §VII-B: "a watchdog class, that is used to
+	// react correctly ... when a process takes too long to complete") is
+	// armed here, once, whichever collector gathers the output; it exits
+	// as soon as the invocation settles.
+	go func() {
+		select {
+		case <-o.clock.After(o.cfg.InvocationTimeout):
+			o.kill(inv)
+		case <-inv.done:
+		}
+	}()
 	switch {
 	case o.events != nil:
 		o.events.register(inv)
 	case o.hub != nil:
-		o.hub.register(inv)
+		o.hub.adopt(inv, 0)
 	case o.cfg.UseLongPoll:
 		go o.waitLongPoll(inv)
 	default:
@@ -638,16 +690,8 @@ func replicaSource(staged map[string]string, serviceName string) string {
 // request the output tentatively. Finally this may result in a service
 // customer that requests the application's output more often than
 // necessary". Each poll fetches the whole stdout snapshot and writes it
-// to the local disk — the periodic disk-write peaks of Figs. 6 and 7 —
-// and the watchdog kills invocations that exceed their deadline ("a
-// watchdog class, that is used to react correctly ... when a process
-// takes too long to complete").
+// to the local disk — the periodic disk-write peaks of Figs. 6 and 7.
 func (o *OnServe) pollOutput(inv *Invocation) {
-	wd := NewWatchdog(o.clock, o.cfg.InvocationTimeout, func() {
-		o.cfg.Agent.Cancel(inv.sessionID, inv.JobID)
-		inv.finish(InvKilled, fmt.Sprintf("watchdog: invocation exceeded %v", o.cfg.InvocationTimeout), o.clock.Now())
-	})
-	defer wd.Stop()
 	lastLen := -1
 	for {
 		o.clock.Sleep(o.cfg.PollInterval)
@@ -666,15 +710,10 @@ func (o *OnServe) pollOutput(inv *Invocation) {
 			continue // transient; keep polling until the watchdog decides
 		}
 		changed := false
-		out, outErr := o.cfg.Agent.Output(inv.sessionID, inv.JobID)
-		if outErr == nil {
+		if out, err := o.cfg.Agent.Output(inv.sessionID, inv.JobID); err == nil {
 			// The snapshot is written to disk on every poll, whether or
 			// not anything changed.
-			o.collector.outputFetches.Add(1)
-			o.collector.outputBytes.Add(uint64(len(out)))
-			o.collector.pollDiskWrites.Add(1)
-			o.cfg.Probe.DiskWrite(len(out))
-			inv.setOutput(out)
+			o.storeOutput(inv, out)
 			changed = len(out) != lastLen
 			lastLen = len(out)
 			ps.SetInt("bytes", int64(len(out)))
@@ -682,42 +721,22 @@ func (o *OnServe) pollOutput(inv *Invocation) {
 		// Record only informative ticks (output moved or terminal state
 		// observed); a quiet tick abandons its span unrecorded, so
 		// sustained polling cannot flood the ring with no-op spans.
-		terminal := st.State == "DONE" || st.State == "FAILED" ||
-			st.State == "CANCELLED" || st.State == "TIMEOUT"
+		_, terminal := remoteStates[st.State]
 		if changed || terminal {
 			ps.Set("state", st.State)
 			ps.End()
 		}
-		switch st.State {
-		case "DONE":
-			inv.finish(InvDone, "", o.clock.Now())
-			return
-		case "FAILED":
-			inv.finish(InvFailed, st.Message, o.clock.Now())
-			return
-		case "CANCELLED":
-			inv.finish(InvCancelled, st.Message, o.clock.Now())
-			return
-		case "TIMEOUT":
-			inv.finish(InvKilled, st.Message, o.clock.Now())
+		if terminal {
+			o.settle(inv, st.State, st.Message)
 			return
 		}
 	}
 }
 
 // waitLongPoll is the fixed collection path: block on the gatekeeper's
-// long-poll wait, then fetch the output exactly once. The watchdog still
-// guards runaway invocations.
+// long-poll wait, then fetch the output exactly once.
 func (o *OnServe) waitLongPoll(inv *Invocation) {
-	wd := NewWatchdog(o.clock, o.cfg.InvocationTimeout, func() {
-		o.cfg.Agent.Cancel(inv.sessionID, inv.JobID)
-		inv.finish(InvKilled, fmt.Sprintf("watchdog: invocation exceeded %v", o.cfg.InvocationTimeout), o.clock.Now())
-	})
-	defer wd.Stop()
-	for {
-		if inv.State().Terminal() {
-			return
-		}
+	for !inv.State().Terminal() {
 		// The span is recorded only for the round that observes the
 		// terminal state; elapsed or failed rounds abandon it unrecorded.
 		ps := o.cfg.Tracing.StartSpan("poll", inv.collectCtx())
@@ -730,30 +749,16 @@ func (o *OnServe) waitLongPoll(inv *Invocation) {
 			o.clock.Sleep(o.cfg.PollInterval)
 			continue
 		}
-		var terminal InvState
-		switch st.State {
-		case "DONE":
-			terminal = InvDone
-		case "FAILED":
-			terminal = InvFailed
-		case "CANCELLED":
-			terminal = InvCancelled
-		case "TIMEOUT":
-			terminal = InvKilled
-		default:
+		if _, terminal := remoteStates[st.State]; !terminal {
 			continue // long-poll round elapsed without a terminal state
 		}
 		if out, err := o.cfg.Agent.Output(inv.sessionID, inv.JobID); err == nil {
-			o.collector.outputFetches.Add(1)
-			o.collector.outputBytes.Add(uint64(len(out)))
-			o.collector.pollDiskWrites.Add(1)
-			o.cfg.Probe.DiskWrite(len(out))
-			inv.setOutput(out)
+			o.storeOutput(inv, out)
 			ps.SetInt("bytes", int64(len(out)))
 		}
 		ps.Set("state", st.State)
 		ps.End()
-		inv.finish(terminal, st.Message, o.clock.Now())
+		o.settle(inv, st.State, st.Message)
 		return
 	}
 }

@@ -48,9 +48,6 @@ const (
 	// resolvable by ticket before the oldest are pruned (their state
 	// tallies are retained for Monitoring).
 	DefaultInvocationRetention = 4096
-	// DefaultPollHubShards is how many shard workers the poll hub runs
-	// when Config.PollHubShards is unset.
-	DefaultPollHubShards = 4
 	// DefaultSubmitHubWindow is the submit hub's coalescing window when
 	// Config.SubmitHubWindow is unset.
 	DefaultSubmitHubWindow = 5 * time.Millisecond
@@ -136,14 +133,12 @@ type Config struct {
 	// in-flight job IDs into one gatekeeper status-batch round-trip per
 	// session, and fetches stdout only when the reply's output version
 	// says it changed (conditional fetch; an unchanged snapshot costs
-	// zero body bytes and zero disk writes). Watchdog and cancel
-	// semantics are identical to the stock poller. Off by default: the
-	// paper-faithful one-goroutine-per-invocation poller stays the
-	// baseline, and the hub is measured as an ablation.
+	// zero body bytes and zero disk writes). Terminal states settle
+	// through the same lifecycle as every other collector, under the
+	// invocation's one watchdog. Off by default: the paper-faithful
+	// one-goroutine-per-invocation poller stays the baseline, and the
+	// hub is measured as an ablation.
 	PollHub bool
-	// PollHubShards is the hub's worker count; 0 means
-	// DefaultPollHubShards. Ignored unless PollHub is set.
-	PollHubShards int
 	// PushEvents replaces polling altogether with the gatekeeper's
 	// long-lived event stream: one /gram/events connection per session
 	// multiplexes every job's state transitions and stdout-version bumps,
@@ -154,9 +149,10 @@ type Config struct {
 	// (404 on /gram/events) or a dead stream hands every in-flight
 	// invocation to the poll hub, which is always constructed alongside
 	// the collector; reconnects resume from a Last-Event-ID cursor so no
-	// transition is lost. Watchdog and cancel semantics are identical to
-	// the poll paths. Off by default: the paper-faithful poller stays the
-	// baseline, and push is measured as an ablation.
+	// transition is lost. Terminal states settle through the same
+	// lifecycle as the poll paths, under the invocation's one watchdog.
+	// Off by default: the paper-faithful poller stays the baseline, and
+	// push is measured as an ablation.
 	PushEvents bool
 	// CoalesceStaging single-flights concurrent stagings of one
 	// executable to one site, so a cold burst of N invocations costs one
@@ -234,7 +230,7 @@ type OnServe struct {
 	// hub is the sharded poller (Config.PollHub); nil runs the stock
 	// per-invocation collection paths.
 	hub *pollHub
-	// collector tallies the output-collection work all three paths do.
+	// collector tallies the output-collection work all four paths do.
 	collector collectorCounters
 	// events is the push-based collector (Config.PushEvents); nil routes
 	// registrations to the hub or the stock pollers.
@@ -304,9 +300,6 @@ func New(cfg Config) (*OnServe, error) {
 	if cfg.ProxyLifetime <= 0 {
 		cfg.ProxyLifetime = 12 * time.Hour
 	}
-	if cfg.PollHubShards <= 0 {
-		cfg.PollHubShards = DefaultPollHubShards
-	}
 	if cfg.SubmitHubWindow <= 0 {
 		cfg.SubmitHubWindow = DefaultSubmitHubWindow
 	}
@@ -334,7 +327,7 @@ func New(cfg Config) (*OnServe, error) {
 	if cfg.PollHub || cfg.PushEvents {
 		// PushEvents always builds the hub too: it is the fallback rung
 		// when the event channel is absent or dies.
-		o.hub = newPollHub(o, cfg.PollHubShards)
+		o.hub = newPollHub(o, pollHubShards)
 	}
 	if cfg.PushEvents {
 		o.events = newEventCollector(o)

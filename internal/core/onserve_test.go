@@ -276,64 +276,6 @@ func TestTentativePollingAccumulatesOutput(t *testing.T) {
 	}
 }
 
-func TestWatchdogKillsRunawayInvocation(t *testing.T) {
-	f := newFixture(t, func(cfg *Config) {
-		cfg.InvocationTimeout = 20 * time.Second
-		cfg.PollInterval = 2 * time.Second
-	})
-	if _, err := f.ons.UploadAndGenerate("alice", "forever.gsh", "", nil,
-		[]byte("compute 23h\n")); err != nil {
-		t.Fatal(err)
-	}
-	inv, err := f.ons.Invoke("ForeverService", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-inv.DoneChan():
-	case <-time.After(10 * time.Second):
-		t.Fatal("watchdog never fired")
-	}
-	if inv.State() != InvKilled {
-		t.Fatalf("state %s: %s", inv.State(), inv.Message())
-	}
-	if !strings.Contains(inv.Message(), "watchdog") && !strings.Contains(inv.Message(), "walltime") {
-		t.Fatalf("message %q", inv.Message())
-	}
-}
-
-func TestCancelInvocation(t *testing.T) {
-	f := newFixture(t, nil)
-	if _, err := f.ons.UploadAndGenerate("alice", "slow.gsh", "", nil,
-		[]byte("emit 2s 10000 t\n")); err != nil {
-		t.Fatal(err)
-	}
-	inv, err := f.ons.Invoke("SlowService", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.ons.CancelInvocation(inv.Ticket); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-inv.DoneChan():
-	case <-time.After(10 * time.Second):
-		t.Fatal("cancel never completed")
-	}
-	if inv.State() != InvCancelled {
-		t.Fatalf("state %s", inv.State())
-	}
-	if err := f.ons.CancelInvocation(inv.Ticket); err != nil {
-		t.Fatalf("cancel of terminal invocation: %v", err)
-	}
-	if _, err := f.ons.Invocation("inv-xxxxxx-nope"); !errors.Is(err, ErrNoTicket) {
-		t.Fatalf("got %v", err)
-	}
-	if err := f.ons.CancelInvocation("inv-xxxxxx-nope"); !errors.Is(err, ErrNoTicket) {
-		t.Fatalf("got %v", err)
-	}
-}
-
 func TestStagingCacheAvoidsReupload(t *testing.T) {
 	f := newFixture(t, func(cfg *Config) { cfg.StagingCache = true })
 	f.uploadDemo(t)
@@ -534,29 +476,6 @@ func TestNewValidatesConfig(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("empty config accepted")
 	}
-}
-
-func TestWatchdogStop(t *testing.T) {
-	clk := vtime.NewScaled(20000)
-	fired := false
-	wd := NewWatchdog(clk, time.Hour, func() { fired = true })
-	wd.Stop()
-	wd.Stop() // idempotent
-	time.Sleep(5 * time.Millisecond)
-	if fired {
-		t.Fatal("stopped watchdog fired")
-	}
-}
-
-func TestWatchdogFires(t *testing.T) {
-	clk := vtime.NewScaled(20000)
-	wd := NewWatchdog(clk, 10*time.Second, func() {})
-	select {
-	case <-wd.Fired():
-	case <-time.After(5 * time.Second):
-		t.Fatal("watchdog never fired")
-	}
-	wd.Stop()
 }
 
 func TestGeneratedServiceOverSOAP(t *testing.T) {

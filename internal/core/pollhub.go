@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"hash/fnv"
 	"sort"
 	"sync"
@@ -11,9 +10,11 @@ import (
 )
 
 // CollectorStats counts the work the output-collection path performs,
-// whichever path is active (stock tentative poller, long-poll wait, or
-// the sharded hub). The poll-hub ablation reads it to compare gatekeeper
-// round-trips, bytes fetched and disk writes across variants.
+// whichever path is active: the stock tentative poller, the long-poll
+// wait, the sharded poll hub, or the push collector (whose resyncs and
+// output fetches count here too). The poll-hub ablation reads it to
+// compare gatekeeper round-trips, bytes fetched and disk writes across
+// variants.
 type CollectorStats struct {
 	// StatusRPCs is the number of gatekeeper status round-trips: one per
 	// Status/Wait call, one per status-batch chunk.
@@ -54,10 +55,9 @@ func (o *OnServe) CollectorStats() CollectorStats {
 // small fixed set of shards; each shard worker wakes once per poll
 // interval, batches all its in-flight job IDs into one gatekeeper
 // status-batch round-trip per session, and fetches stdout only for jobs
-// whose output version moved since the last fetch. Watchdog and cancel
-// semantics are exactly the stock poller's: a per-invocation watchdog
-// still cancels and kills overdue jobs, and externally cancelled jobs
-// are finished from the batched status like any other terminal state.
+// whose output version moved since the last fetch. Terminal states are
+// settled from the batched status through the shared lifecycle (settle),
+// and the invocation's own watchdog still bounds every job.
 type pollHub struct {
 	o      *OnServe
 	shards []*hubShard
@@ -79,11 +79,13 @@ type hubShard struct {
 // only touched by the shard worker.
 type hubJob struct {
 	inv *Invocation
-	wd  *Watchdog
 	// lastVer is the output version of the snapshot last stored in the
 	// invocation; 0 before any output was seen.
 	lastVer uint64
 }
+
+// pollHubShards is how many shard workers the poll hub runs.
+const pollHubShards = 4
 
 func newPollHub(o *OnServe, shards int) *pollHub {
 	h := &pollHub{o: o}
@@ -93,25 +95,14 @@ func newPollHub(o *OnServe, shards int) *pollHub {
 	return h
 }
 
-// register hands a freshly submitted invocation to its shard, arming the
-// same watchdog the stock poller would.
-func (h *pollHub) register(inv *Invocation) {
-	o := h.o
-	wd := NewWatchdog(o.clock, o.cfg.InvocationTimeout, func() {
-		o.cfg.Agent.Cancel(inv.sessionID, inv.JobID)
-		inv.finish(InvKilled, fmt.Sprintf("watchdog: invocation exceeded %v", o.cfg.InvocationTimeout), o.clock.Now())
-	})
-	h.adopt(inv, wd, 0)
-}
-
-// adopt inserts an invocation whose watchdog is already armed — a fresh
-// registration, or one handed down by the event collector when the push
+// adopt hands an invocation to its shard — a fresh registration
+// (lastVer 0), or one handed down by the event collector when the push
 // channel died. The transferred output cursor keeps the conditional
 // fetch path from re-shipping a snapshot the event path already stored.
-func (h *pollHub) adopt(inv *Invocation, wd *Watchdog, lastVer uint64) {
+func (h *pollHub) adopt(inv *Invocation, lastVer uint64) {
 	sh := h.shards[shardIndex(inv.Ticket, len(h.shards))]
 	sh.mu.Lock()
-	sh.jobs[inv.Ticket] = &hubJob{inv: inv, wd: wd, lastVer: lastVer}
+	sh.jobs[inv.Ticket] = &hubJob{inv: inv, lastVer: lastVer}
 	if !sh.running {
 		sh.running = true
 		go sh.run()
@@ -136,7 +127,6 @@ func (sh *hubShard) run() {
 		sh.mu.Lock()
 		for ticket, hj := range sh.jobs {
 			if hj.inv.State().Terminal() {
-				hj.wd.Stop()
 				delete(sh.jobs, ticket)
 			}
 		}
@@ -189,8 +179,7 @@ func (sh *hubShard) collectOne(sessionID string, hj *hubJob, e gram.BatchEntry) 
 	if inv.State().Terminal() {
 		return // cancel or watchdog got there between batching and now
 	}
-	terminal := e.State == "DONE" || e.State == "FAILED" ||
-		e.State == "CANCELLED" || e.State == "TIMEOUT"
+	_, terminal := remoteStates[e.State]
 	// As in the stock poller, only informative ticks (output moved or
 	// terminal) record their span; quiet ticks abandon it unrecorded.
 	ps := o.cfg.Tracing.StartSpan("poll", inv.collectCtx())
@@ -204,11 +193,7 @@ func (sh *hubShard) collectOne(sessionID string, hj *hubJob, e gram.BatchEntry) 
 			}
 		} else if changed {
 			hj.lastVer = ver
-			o.collector.outputFetches.Add(1)
-			o.collector.outputBytes.Add(uint64(len(out)))
-			o.collector.pollDiskWrites.Add(1)
-			o.cfg.Probe.DiskWrite(len(out))
-			inv.setOutput(out)
+			o.storeOutput(inv, out)
 			fetched = true
 			ps.SetInt("bytes", int64(len(out)))
 		} else {
@@ -224,19 +209,6 @@ func (sh *hubShard) collectOne(sessionID string, hj *hubJob, e gram.BatchEntry) 
 		ps.Set("state", e.State)
 		ps.End()
 	}
-	if !terminal {
-		return
-	}
-	switch e.State {
-	case "DONE":
-		inv.finish(InvDone, "", o.clock.Now())
-	case "FAILED":
-		inv.finish(InvFailed, e.Message, o.clock.Now())
-	case "CANCELLED":
-		inv.finish(InvCancelled, e.Message, o.clock.Now())
-	case "TIMEOUT":
-		inv.finish(InvKilled, e.Message, o.clock.Now())
-	}
-	// The run loop reaps the now-terminal entry (and stops its watchdog)
-	// on the next tick.
+	// The run loop reaps a now-terminal entry on the next tick.
+	o.settle(inv, e.State, e.Message)
 }

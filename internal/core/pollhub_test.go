@@ -114,8 +114,8 @@ func TestPollHubBatchesStatusRPCs(t *testing.T) {
 	hub := newFixture(t, func(cfg *Config) {
 		cfg.SessionCache = true
 		cfg.PollHub = true
-		cfg.PollHubShards = 1
 	})
+	hub.ons.hub = newPollHub(hub.ons, 1)
 	var wg sync.WaitGroup
 	for _, f := range []*fixture{stock, hub} {
 		wg.Add(1)
@@ -141,8 +141,8 @@ func TestPollHubIsolatesFailingJob(t *testing.T) {
 	f := newFixture(t, func(cfg *Config) {
 		cfg.SessionCache = true
 		cfg.PollHub = true
-		cfg.PollHubShards = 1
 	})
+	f.ons.hub = newPollHub(f.ons, 1)
 	if _, err := f.ons.UploadAndGenerate("alice", "boom.gsh", "", nil,
 		[]byte("compute 4s\nfail kaboom\n")); err != nil {
 		t.Fatal(err)
@@ -171,52 +171,6 @@ func TestPollHubIsolatesFailingJob(t *testing.T) {
 	}
 	if good.State() != InvDone || good.Output() != "good\n" {
 		t.Fatalf("good: %s %q", good.State(), good.Output())
-	}
-}
-
-func TestPollHubWatchdogKillsRunaway(t *testing.T) {
-	f := newFixture(t, func(cfg *Config) {
-		cfg.PollHub = true
-		cfg.InvocationTimeout = 20 * time.Second
-	})
-	if _, err := f.ons.UploadAndGenerate("alice", "forever.gsh", "", nil,
-		[]byte("compute 23h\n")); err != nil {
-		t.Fatal(err)
-	}
-	inv, err := f.ons.Invoke("ForeverService", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-inv.DoneChan():
-	case <-time.After(10 * time.Second):
-		t.Fatal("watchdog never fired under the hub")
-	}
-	if inv.State() != InvKilled {
-		t.Fatalf("state %s: %s", inv.State(), inv.Message())
-	}
-}
-
-func TestPollHubCancelInvocation(t *testing.T) {
-	f := newFixture(t, func(cfg *Config) { cfg.PollHub = true })
-	if _, err := f.ons.UploadAndGenerate("alice", "slow.gsh", "", nil,
-		[]byte("emit 2s 10000 t\n")); err != nil {
-		t.Fatal(err)
-	}
-	inv, err := f.ons.Invoke("SlowService", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.ons.CancelInvocation(inv.Ticket); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-inv.DoneChan():
-	case <-time.After(10 * time.Second):
-		t.Fatal("cancel never completed under the hub")
-	}
-	if inv.State() != InvCancelled {
-		t.Fatalf("state %s", inv.State())
 	}
 }
 
@@ -259,10 +213,7 @@ func TestCancelOnCompletionTickStockPoller(t *testing.T) {
 }
 
 func TestCancelOnCompletionTickPollHub(t *testing.T) {
-	cancelOnCompletionTick(t, func(cfg *Config) {
-		cfg.PollHub = true
-		cfg.PollHubShards = 2
-	})
+	cancelOnCompletionTick(t, func(cfg *Config) { cfg.PollHub = true })
 }
 
 func TestPickSitesZeroSlotSiteSortsLast(t *testing.T) {

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -114,7 +113,6 @@ type eventWorker struct {
 // evJob is one invocation's event-side state.
 type evJob struct {
 	inv *Invocation
-	wd  *Watchdog
 	// lastVer is the output version last stored into the invocation;
 	// guarded by the worker's mu.
 	lastVer uint64
@@ -125,16 +123,14 @@ func newEventCollector(o *OnServe) *eventCollector {
 }
 
 // register hands a freshly submitted invocation to its session's stream
-// worker (starting one if needed), arming the same watchdog every other
-// collection path does. Against a known-stock gatekeeper it delegates to
-// the poll hub directly.
+// worker (starting one if needed). Against a known-stock gatekeeper it
+// delegates to the poll hub directly.
 func (ec *eventCollector) register(inv *Invocation) {
-	o := ec.o
 	for {
 		ec.mu.Lock()
 		if ec.unsupported {
 			ec.mu.Unlock()
-			o.hub.register(inv)
+			ec.o.hub.adopt(inv, 0)
 			return
 		}
 		w := ec.workers[inv.sessionID]
@@ -156,11 +152,7 @@ func (ec *eventCollector) register(inv *Invocation) {
 			ec.mu.Unlock()
 			continue
 		}
-		wd := NewWatchdog(o.clock, o.cfg.InvocationTimeout, func() {
-			o.cfg.Agent.Cancel(inv.sessionID, inv.JobID)
-			inv.finish(InvKilled, fmt.Sprintf("watchdog: invocation exceeded %v", o.cfg.InvocationTimeout), o.clock.Now())
-		})
-		w.jobs[inv.JobID] = &evJob{inv: inv, wd: wd}
+		w.jobs[inv.JobID] = &evJob{inv: inv}
 		pend, havePend := w.pending[inv.JobID]
 		if havePend {
 			delete(w.pending, inv.JobID)
@@ -329,9 +321,9 @@ func (w *eventWorker) tryStop() bool {
 }
 
 // fallback retires the worker and re-registers every in-flight
-// invocation with the poll hub, transferring each one's armed watchdog
-// and output cursor intact — no lost terminal states, no double kill
-// timers.
+// invocation with the poll hub, transferring each one's output cursor
+// intact — no lost terminal states, and the invocation's one watchdog
+// keeps running across the hand-over.
 func (w *eventWorker) fallback() {
 	o := w.ec.o
 	w.ec.mu.Lock()
@@ -352,11 +344,10 @@ func (w *eventWorker) fallback() {
 	w.ec.mu.Unlock()
 	for _, ej := range jobs {
 		if ej.inv.State().Terminal() {
-			ej.wd.Stop()
 			continue
 		}
 		o.push.fallbacksToPoll.Add(1)
-		o.hub.adopt(ej.inv, ej.wd, ej.lastVer)
+		o.hub.adopt(ej.inv, ej.lastVer)
 	}
 }
 
@@ -396,10 +387,10 @@ func (w *eventWorker) syncAll() {
 
 // processEvent routes one event (pushed, replayed, or synthesised by a
 // resync) to its invocation: fetch stdout through the hub's conditional
-// path when the version moved, then record a terminal state. Collection
-// semantics — counters, disk accounting, span discipline, terminal
-// mapping — mirror the poll hub's collectOne exactly. stash controls
-// whether an event for an unknown job is kept for its registration.
+// path when the version moved, then settle a terminal state. Counters,
+// disk accounting and span discipline mirror the poll hub's collectOne.
+// stash controls whether an event for an unknown job is kept for its
+// registration.
 func (w *eventWorker) processEvent(ev gram.EventData, stash bool) {
 	o := w.ec.o
 	w.mu.Lock()
@@ -419,8 +410,7 @@ func (w *eventWorker) processEvent(ev gram.EventData, stash bool) {
 		w.reap(ej)
 		return
 	}
-	terminal := ev.State == "DONE" || ev.State == "FAILED" ||
-		ev.State == "CANCELLED" || ev.State == "TIMEOUT"
+	_, terminal := remoteStates[ev.State]
 	// As on the poll paths, only informative deliveries (output fetched
 	// or terminal) record their span; the rest abandon it unrecorded.
 	ps := o.cfg.Tracing.StartSpan("event", inv.collectCtx())
@@ -446,11 +436,7 @@ func (w *eventWorker) processEvent(ev gram.EventData, stash bool) {
 			}
 			w.mu.Unlock()
 			if newer {
-				o.collector.outputFetches.Add(1)
-				o.collector.outputBytes.Add(uint64(len(out)))
-				o.collector.pollDiskWrites.Add(1)
-				o.cfg.Probe.DiskWrite(len(out))
-				inv.setOutput(out)
+				o.storeOutput(inv, out)
 				fetched = true
 				ps.SetInt("bytes", int64(len(out)))
 			} else {
@@ -496,37 +482,21 @@ func (w *eventWorker) finishWhenFetchable(ej *evJob, ev gram.EventData) {
 				ej.lastVer = ver
 			}
 			w.mu.Unlock()
-			o.collector.outputFetches.Add(1)
-			o.collector.outputBytes.Add(uint64(len(out)))
-			o.collector.pollDiskWrites.Add(1)
-			o.cfg.Probe.DiskWrite(len(out))
-			ej.inv.setOutput(out)
+			o.storeOutput(ej.inv, out)
 		}
 		w.finishInv(ej, ev)
 		return
 	}
 }
 
-// finishInv records the terminal state (same mapping as every other
-// collection path), disarms the watchdog and reaps the entry.
+// finishInv settles the terminal state and reaps the entry.
 func (w *eventWorker) finishInv(ej *evJob, ev gram.EventData) {
-	o := w.ec.o
-	switch ev.State {
-	case "DONE":
-		ej.inv.finish(InvDone, "", o.clock.Now())
-	case "FAILED":
-		ej.inv.finish(InvFailed, ev.Message, o.clock.Now())
-	case "CANCELLED":
-		ej.inv.finish(InvCancelled, ev.Message, o.clock.Now())
-	case "TIMEOUT":
-		ej.inv.finish(InvKilled, ev.Message, o.clock.Now())
-	}
+	w.ec.o.settle(ej.inv, ev.State, ev.Message)
 	w.reap(ej)
 }
 
-// reap drops a terminal invocation's entry and stops its watchdog.
+// reap drops a terminal invocation's entry.
 func (w *eventWorker) reap(ej *evJob) {
-	ej.wd.Stop()
 	w.mu.Lock()
 	if w.jobs[ej.inv.JobID] == ej {
 		delete(w.jobs, ej.inv.JobID)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"net/http"
 	"sort"
 	"strings"
 	"sync"
@@ -22,19 +23,21 @@ import (
 	"repro/internal/vtime"
 )
 
-// newWANFixture wires an onServe over a single-site grid whose servers
-// answer across the paper's shaped WAN (~85 KB/s), at a caller-chosen
-// time dilation so one staging transfer occupies tens of real
-// milliseconds — long enough that a concurrent burst reliably overlaps
-// the in-flight upload, which is what the coalescing tests need to be
-// deterministic.
+// newWANFixture wires an onServe over a single-site grid across the
+// paper's shaped WAN (~85 KB/s each way): the servers answer over it and
+// the agent dials through it, so staging uploads are paced too. At a
+// caller-chosen time dilation one staging transfer then occupies tens of
+// real milliseconds — long enough that a concurrent burst reliably
+// overlaps the in-flight upload, which is what the coalescing tests need
+// to be deterministic.
 func newWANFixture(t *testing.T, scale float64, mutate func(*Config)) *fixture {
 	t.Helper()
 	clk := vtime.NewScaled(scale)
+	wan := netsim.WAN(clk)
 	env, err := gridenv.Start(gridenv.Options{
 		Clock:   clk,
 		Sites:   []gridsim.SiteConfig{{Name: "siteA", Nodes: 2, CoresPerNode: 4}},
-		Profile: netsim.WAN(clk),
+		Profile: wan,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -50,8 +53,10 @@ func newWANFixture(t *testing.T, scale float64, mutate func(*Config)) *fixture {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
+	dialer := &netsim.Dialer{Profile: wan}
 	agent := cyberaide.New(cyberaide.Options{
 		Endpoints: env.Endpoints(), Clock: clk, Probe: probe, Cost: metrics.DefaultCost(),
+		HTTP: &http.Client{Transport: &http.Transport{DialContext: dialer.DialContext}},
 	})
 	cfg := Config{
 		DB:                db,
@@ -139,11 +144,10 @@ func TestColdBurstStagingStockUploadsPerInvocation(t *testing.T) {
 }
 
 func TestColdBurstStagingCoalescedSingleUpload(t *testing.T) {
-	// Scale 75 (not the stock test's 300): the leader upload's ~18
-	// virtual seconds span ~240 real ms, so even a burst goroutine the
-	// race detector stalls for ~100 ms still reaches stageExecutable
-	// while the flight is open and joins it — at 300 the ~60 ms window
-	// flaked under full-suite -race load.
+	// Scale 75 (not the stock test's 300): the leader pushes 512 KB up
+	// the 85 KB/s uplink, ~6 virtual seconds or ~80 real ms, so even a
+	// burst goroutine the race detector stalls for tens of ms still
+	// reaches stageExecutable while the flight is open and joins it.
 	f := newWANFixture(t, 75, func(cfg *Config) { cfg.CoalesceStaging = true })
 	const n = 8
 	d := stagingBurst(t, f, n)

@@ -216,7 +216,7 @@ func TestTraceCancelEndsSpanTree(t *testing.T) {
 	if inv.State() != InvCancelled {
 		t.Fatalf("state %s: %s", inv.State(), inv.Message())
 	}
-	assertTreeEndedWithError(t, f, inv)
+	assertTreeEnded(t, f, inv, "error")
 }
 
 // TestTraceWatchdogEndsSpanTree is satellite 3 for the watchdog, under
@@ -252,12 +252,14 @@ func TestTraceWatchdogEndsSpanTree(t *testing.T) {
 				!strings.Contains(inv.Message(), "walltime") {
 				t.Fatalf("message %q", inv.Message())
 			}
-			assertTreeEndedWithError(t, f, inv)
+			assertTreeEnded(t, f, inv, "error")
 		})
 	}
 }
 
-func assertTreeEndedWithError(t *testing.T, f *fixture, inv *Invocation) {
+// assertTreeEnded fails unless the invocation's root and collect spans
+// were each recorded once (ended, not leaked) with the given status.
+func assertTreeEnded(t *testing.T, f *fixture, inv *Invocation, status string) {
 	t.Helper()
 	spans, err := f.ons.InvocationTrace(inv.Ticket)
 	if err != nil {
@@ -270,8 +272,8 @@ func assertTreeEndedWithError(t *testing.T, f *fixture, inv *Invocation) {
 		if len(got) != 1 {
 			t.Fatalf("%s recorded %d times, want 1 (leaked or unended span)", name, len(got))
 		}
-		if got[0].Status != "error" {
-			t.Errorf("%s span status %q, want error (%+v)", name, got[0].Status, got[0])
+		if got[0].Status != status {
+			t.Errorf("%s span status %q, want %s (%+v)", name, got[0].Status, status, got[0])
 		}
 	}
 }

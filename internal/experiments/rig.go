@@ -58,10 +58,9 @@ type Options struct {
 	WALShards    int
 	SegmentBytes int64
 	AutoCompact  bool
-	// PollHub / PollHubShards select the sharded batched status collector
-	// (see core.Config); off keeps the paper's per-invocation poller.
-	PollHub       bool
-	PollHubShards int
+	// PollHub selects the sharded batched status collector (see
+	// core.Config); off keeps the paper's per-invocation poller.
+	PollHub bool
 	// PushEvents selects the push-based collector: job completion rides
 	// one long-lived gatekeeper event stream per session instead of any
 	// polling (see core.Config); the poll hub rides along as fallback.
@@ -226,7 +225,6 @@ func newRig(opts Options) (*rig, error) {
 		SegmentBytes:       opts.SegmentBytes,
 		AutoCompact:        opts.AutoCompact,
 		PollHub:            opts.PollHub,
-		PollHubShards:      opts.PollHubShards,
 		PushEvents:         opts.PushEvents,
 		CoalesceStaging:    opts.CoalesceStaging,
 		SubmitHub:          opts.SubmitHub,

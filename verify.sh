@@ -39,6 +39,12 @@ go test -race -short ./...
 # mask a newly introduced race.
 go test -race -count=1 ./internal/core ./internal/blobdb ./internal/cyberaide ./internal/gram ./internal/gridsim ./internal/gridftp ./internal/netsim ./internal/portal ./internal/soap ./internal/trace ./internal/gateway ./internal/tenant
 
+# Every invocation must reach exactly one terminal state naming the
+# right cause on every run, not on most: repeat the lifecycle matrix,
+# the coalesced-staging burst, the watchdog races and the span-tree
+# tests fifty times.
+go test -count=50 -run 'Lifecycle|Coalesced|Watchdog|Trace' ./internal/core
+
 # Fuzzers run their seed corpora as regular tests, but exercise the
 # mutation engine briefly too: the admission edge parses attacker
 # bytes (the key header) and evaluates attacker patterns (policy
