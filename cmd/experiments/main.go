@@ -19,308 +19,153 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"repro/internal/experiments"
 )
 
+var (
+	fig          = flag.Int("fig", 0, "regenerate one figure (6, 7 or 8)")
+	scalability  = flag.Bool("scalability", false, "run the §VIII-D concurrency sweep")
+	smallJobs    = flag.Bool("smalljobs", false, "run the §VIII-B many-small-jobs check")
+	ablations    = flag.Bool("ablations", false, "run the design-choice ablations")
+	hotpath      = flag.Bool("hotpath", false, "run the invocation hot-path ablations")
+	pollhub      = flag.Bool("pollhub", false, "run the poll-hub output-collection ablation")
+	submit       = flag.Bool("submit", false, "run the batched-submission front-end ablation")
+	stage        = flag.Bool("stage", false, "run the chunked-staging data-plane ablation")
+	placement    = flag.Bool("placement", false, "run the data-aware placement + pre-replication ablation")
+	blobdbFlag   = flag.Bool("blobdb", false, "run the storage-engine sharding/compaction/replay ablation")
+	replayRecs   = flag.Int("replay-records", 1_000_000, "record count for the -blobdb cold-boot replay study")
+	traceFlag    = flag.Bool("trace", false, "run the traced small/large stock/all-knobs breakdown")
+	fleetFlag    = flag.Bool("fleet", false, "run the consistent-hash fleet scale-out ablation (1/4/16 appliances + kill-one failover)")
+	tenancyFlag  = flag.Bool("tenancy", false, "run the multi-tenant noisy-neighbor ablation (hog burst vs victim p99, off/on)")
+	tenancyBurst = flag.Int("tenancy-burst", 1000, "hog burst size for -tenancy")
+	baseline     = flag.Bool("baseline", false, "compare raw JSE access with the SaaS path")
+	all          = flag.Bool("all", false, "run every experiment")
+	scale        = flag.Float64("scale", 200, "virtual-time dilation factor")
+	outDir       = flag.String("out", "results", "directory for CSV output")
+	jobs         = flag.Int("jobs", 50, "job count for -smalljobs")
+)
+
 func main() {
-	var (
-		fig          = flag.Int("fig", 0, "regenerate one figure (6, 7 or 8)")
-		scalability  = flag.Bool("scalability", false, "run the §VIII-D concurrency sweep")
-		smallJobs    = flag.Bool("smalljobs", false, "run the §VIII-B many-small-jobs check")
-		ablations    = flag.Bool("ablations", false, "run the design-choice ablations")
-		hotpath      = flag.Bool("hotpath", false, "run the invocation hot-path ablations")
-		pollhub      = flag.Bool("pollhub", false, "run the poll-hub output-collection ablation")
-		submit       = flag.Bool("submit", false, "run the batched-submission front-end ablation")
-		stage        = flag.Bool("stage", false, "run the chunked-staging data-plane ablation")
-		placement    = flag.Bool("placement", false, "run the data-aware placement + pre-replication ablation")
-		blobdbFlag   = flag.Bool("blobdb", false, "run the storage-engine sharding/compaction/replay ablation")
-		replayRecs   = flag.Int("replay-records", 1_000_000, "record count for the -blobdb cold-boot replay study")
-		traceFlag    = flag.Bool("trace", false, "run the traced small/large stock/all-knobs breakdown")
-		fleetFlag    = flag.Bool("fleet", false, "run the consistent-hash fleet scale-out ablation (1/4/16 appliances + kill-one failover)")
-		tenancyFlag  = flag.Bool("tenancy", false, "run the multi-tenant noisy-neighbor ablation (hog burst vs victim p99, off/on)")
-		tenancyBurst = flag.Int("tenancy-burst", 1000, "hog burst size for -tenancy")
-		baseline     = flag.Bool("baseline", false, "compare raw JSE access with the SaaS path")
-		all          = flag.Bool("all", false, "run every experiment")
-		scale        = flag.Float64("scale", 200, "virtual-time dilation factor")
-		outDir       = flag.String("out", "results", "directory for CSV output")
-		jobs         = flag.Int("jobs", 50, "job count for -smalljobs")
-	)
 	flag.Parse()
-	if err := run(*fig, *scalability, *smallJobs, *ablations, *hotpath, *pollhub, *submit, *stage, *placement, *blobdbFlag, *traceFlag, *fleetFlag, *tenancyFlag, *baseline, *all, *scale, *outDir, *jobs, *replayRecs, *tenancyBurst); err != nil {
+	if err := run(studies(), *outDir); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run(fig int, scalability, smallJobs, ablations, hotpath, pollhub, submit, stage, placement, blobdbFlag, traceFlag, fleetFlag, tenancyFlag, baseline, all bool, scale float64, outDir string, jobs, replayRecs, tenancyBurst int) error {
-	opts := experiments.Options{Scale: scale}
+// result is what every experiment returns: a terminal rendering.
+type result interface{ Render() string }
+
+// study is one selectable experiment. Its result is rendered to stdout
+// and, when file is set, written under -out: through CSV() for a .csv
+// file, through json.MarshalIndent otherwise.
+type study struct {
+	on   bool
+	name string
+	file string
+	run  func() (result, error)
+}
+
+// studies is the experiment table, in the order -all runs it.
+func studies() []study {
+	o := experiments.Options{Scale: *scale}
+	abl := *all || *ablations
+	return []study{
+		{*all || *fig == 6, "fig6", "fig6.csv", func() (result, error) { return experiments.Fig6(o) }},
+		{*all || *fig == 7, "fig7", "fig7.csv", func() (result, error) { return experiments.Fig7(o) }},
+		{*all || *fig == 8, "fig8", "fig8.csv", func() (result, error) { return experiments.Fig8(o) }},
+		{*all || *scalability, "scalability", "scalability.csv", func() (result, error) {
+			return experiments.Scalability(o, []int{1, 2, 4, 8}, 512)
+		}},
+		{*all || *smallJobs, "smalljobs", "", func() (result, error) { return experiments.SmallJobs(o, *jobs, 8) }},
+		{abl, "ablation double-write", "", func() (result, error) { return experiments.AblationDoubleWrite(o, 1024) }},
+		{abl, "ablation staging-cache", "", func() (result, error) { return experiments.AblationStagingCache(o, 768, 3) }},
+		{abl, "ablation poll-interval", "", func() (result, error) { return experiments.AblationPolling(o, nil) }},
+		{abl, "ablation compression", "", func() (result, error) { return experiments.AblationCompression(o, 4096) }},
+		{abl, "ablation schedulers", "", func() (result, error) { return experiments.SchedulerPolicies(*scale) }},
+		{*all || *hotpath, "hotpath", "hotpath.json", func() (result, error) {
+			res, err := experiments.AblationHotPath(o, 256, 3)
+			if err != nil {
+				return nil, err
+			}
+			gc, err := experiments.AblationGroupCommit(64, 8, 16)
+			if err != nil {
+				return nil, fmt.Errorf("group-commit: %w", err)
+			}
+			res.Rows = append(res.Rows, gc.Rows...)
+			res.Notes = append(res.Notes, gc.Notes...)
+			return res, nil
+		}},
+		{*all || *pollhub, "pollhub", "pollhub.json", func() (result, error) { return experiments.AblationPollHub(o, 64) }},
+		{*all || *submit, "submit", "submit.json", func() (result, error) { return experiments.AblationSubmit(o, 64) }},
+		{*all || *stage, "stage", "stage.json", func() (result, error) { return experiments.AblationStage(o, 0) }},
+		{*all || *placement, "placement", "placement.json", func() (result, error) {
+			return experiments.AblationPlacement(o, 64, nil)
+		}},
+		{*all || *blobdbFlag, "blobdb", "blobdb.json", func() (result, error) { return experiments.AblationBlobDB(*replayRecs) }},
+		{*all || *traceFlag, "trace", "trace.json", func() (result, error) { return experiments.TraceBreakdown(o, 0) }},
+		{*all || *fleetFlag, "fleet", "fleet.json", func() (result, error) { return experiments.AblationFleet(o, nil, 64) }},
+		{*all || *tenancyFlag, "tenancy", "tenancy.json", func() (result, error) {
+			return experiments.AblationTenancy(o, *tenancyBurst)
+		}},
+		{*all || *baseline, "baseline", "", func() (result, error) { return experiments.BaselineJSE(o, 256) }},
+	}
+}
+
+// run executes every selected study in table order, rendering each and
+// writing its file under outDir.
+func run(studies []study, outDir string) error {
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		return err
 	}
-	any := false
-
-	runFig := func(n int, f func(experiments.Options) (*experiments.Result, error)) error {
-		any = true
-		res, err := f(opts)
+	selected := false
+	for _, s := range studies {
+		if !s.on {
+			continue
+		}
+		selected = true
+		res, err := s.run()
 		if err != nil {
-			return fmt.Errorf("fig%d: %w", n, err)
+			return fmt.Errorf("%s: %w", s.name, err)
 		}
 		fmt.Print(res.Render())
-		path := filepath.Join(outDir, fmt.Sprintf("fig%d.csv", n))
-		if err := os.WriteFile(path, []byte(res.CSV()), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n\n", path)
-		return nil
-	}
-
-	if all || fig == 6 {
-		if err := runFig(6, experiments.Fig6); err != nil {
-			return err
-		}
-	}
-	if all || fig == 7 {
-		if err := runFig(7, experiments.Fig7); err != nil {
-			return err
-		}
-	}
-	if all || fig == 8 {
-		if err := runFig(8, experiments.Fig8); err != nil {
-			return err
-		}
-	}
-	if all || scalability {
-		any = true
-		res, err := experiments.Scalability(opts, []int{1, 2, 4, 8}, 512)
-		if err != nil {
-			return fmt.Errorf("scalability: %w", err)
-		}
-		fmt.Print(res.Render())
-		path := filepath.Join(outDir, "scalability.csv")
-		if err := os.WriteFile(path, []byte(res.CSV()), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n\n", path)
-	}
-	if all || smallJobs {
-		any = true
-		res, err := experiments.SmallJobs(opts, jobs, 8)
-		if err != nil {
-			return fmt.Errorf("smalljobs: %w", err)
-		}
-		fmt.Print(res.Render())
-		fmt.Println()
-	}
-	if all || ablations {
-		any = true
-		type study struct {
-			name string
-			run  func() (*experiments.AblationResult, error)
-		}
-		studies := []study{
-			{"double-write", func() (*experiments.AblationResult, error) {
-				return experiments.AblationDoubleWrite(opts, 1024)
-			}},
-			{"staging-cache", func() (*experiments.AblationResult, error) {
-				return experiments.AblationStagingCache(opts, 768, 3)
-			}},
-			{"poll-interval", func() (*experiments.AblationResult, error) {
-				return experiments.AblationPolling(opts, nil)
-			}},
-			{"compression", func() (*experiments.AblationResult, error) {
-				return experiments.AblationCompression(opts, 4096)
-			}},
-		}
-		for _, s := range studies {
-			res, err := s.run()
-			if err != nil {
-				return fmt.Errorf("ablation %s: %w", s.name, err)
+		if s.file != "" {
+			path := filepath.Join(outDir, s.file)
+			if err := write(path, res); err != nil {
+				return err
 			}
-			fmt.Print(res.Render())
-			fmt.Println()
+			fmt.Printf("wrote %s\n", path)
 		}
-		sched, err := experiments.SchedulerPolicies(scale)
-		if err != nil {
-			return fmt.Errorf("ablation schedulers: %w", err)
-		}
-		fmt.Print(sched.Render())
 		fmt.Println()
 	}
-	if all || hotpath {
-		any = true
-		res, err := experiments.AblationHotPath(opts, 256, 3)
-		if err != nil {
-			return fmt.Errorf("hotpath: %w", err)
-		}
-		gc, err := experiments.AblationGroupCommit(64, 8, 16)
-		if err != nil {
-			return fmt.Errorf("hotpath group-commit: %w", err)
-		}
-		res.Rows = append(res.Rows, gc.Rows...)
-		res.Notes = append(res.Notes, gc.Notes...)
-		fmt.Print(res.Render())
-		blob, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(outDir, "hotpath.json")
-		if err := os.WriteFile(path, blob, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n\n", path)
-	}
-	if all || pollhub {
-		any = true
-		res, err := experiments.AblationPollHub(opts, 64)
-		if err != nil {
-			return fmt.Errorf("pollhub: %w", err)
-		}
-		fmt.Print(res.Render())
-		blob, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(outDir, "pollhub.json")
-		if err := os.WriteFile(path, blob, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n\n", path)
-	}
-	if all || submit {
-		any = true
-		res, err := experiments.AblationSubmit(opts, 64)
-		if err != nil {
-			return fmt.Errorf("submit: %w", err)
-		}
-		fmt.Print(res.Render())
-		blob, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(outDir, "submit.json")
-		if err := os.WriteFile(path, blob, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n\n", path)
-	}
-	if all || stage {
-		any = true
-		res, err := experiments.AblationStage(opts, 0)
-		if err != nil {
-			return fmt.Errorf("stage: %w", err)
-		}
-		fmt.Print(res.Render())
-		blob, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(outDir, "stage.json")
-		if err := os.WriteFile(path, blob, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n\n", path)
-	}
-	if all || placement {
-		any = true
-		res, err := experiments.AblationPlacement(opts, 64, nil)
-		if err != nil {
-			return fmt.Errorf("placement: %w", err)
-		}
-		fmt.Print(res.Render())
-		blob, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(outDir, "placement.json")
-		if err := os.WriteFile(path, blob, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n\n", path)
-	}
-	if all || blobdbFlag {
-		any = true
-		res, err := experiments.AblationBlobDB(replayRecs)
-		if err != nil {
-			return fmt.Errorf("blobdb: %w", err)
-		}
-		fmt.Print(res.Render())
-		blob, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(outDir, "blobdb.json")
-		if err := os.WriteFile(path, blob, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n\n", path)
-	}
-	if all || traceFlag {
-		any = true
-		res, err := experiments.TraceBreakdown(opts, 0)
-		if err != nil {
-			return fmt.Errorf("trace: %w", err)
-		}
-		fmt.Print(res.Render())
-		blob, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(outDir, "trace.json")
-		if err := os.WriteFile(path, blob, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n\n", path)
-	}
-	if all || fleetFlag {
-		any = true
-		res, err := experiments.AblationFleet(opts, nil, 64)
-		if err != nil {
-			return fmt.Errorf("fleet: %w", err)
-		}
-		fmt.Print(res.Render())
-		blob, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(outDir, "fleet.json")
-		if err := os.WriteFile(path, blob, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n\n", path)
-	}
-	if all || tenancyFlag {
-		any = true
-		res, err := experiments.AblationTenancy(opts, tenancyBurst)
-		if err != nil {
-			return fmt.Errorf("tenancy: %w", err)
-		}
-		fmt.Print(res.Render())
-		blob, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(outDir, "tenancy.json")
-		if err := os.WriteFile(path, blob, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n\n", path)
-	}
-	if all || baseline {
-		any = true
-		res, err := experiments.BaselineJSE(opts, 256)
-		if err != nil {
-			return fmt.Errorf("baseline: %w", err)
-		}
-		fmt.Print(res.Render())
-		fmt.Println()
-	}
-	if !any {
-		return fmt.Errorf("nothing selected; use -fig N, -scalability, -smalljobs, -ablations, -hotpath, -pollhub, -submit, -stage, -placement, -blobdb, -trace, -fleet, -tenancy, -baseline or -all")
+	if !selected {
+		return errors.New("nothing selected; use -fig N, -scalability, -smalljobs, -ablations, -hotpath, -pollhub, -submit, -stage, -placement, -blobdb, -trace, -fleet, -tenancy, -baseline or -all")
 	}
 	return nil
+}
+
+// write stores res at path: its CSV() rendering for a .csv file, its
+// indented JSON otherwise.
+func write(path string, res result) error {
+	var blob []byte
+	if strings.HasSuffix(path, ".csv") {
+		c, ok := res.(interface{ CSV() string })
+		if !ok {
+			return fmt.Errorf("%s: result has no CSV form", path)
+		}
+		blob = []byte(c.CSV())
+	} else {
+		var err error
+		if blob, err = json.MarshalIndent(res, "", "  "); err != nil {
+			return err
+		}
+	}
+	return os.WriteFile(path, blob, 0o644)
 }

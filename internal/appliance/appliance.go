@@ -84,15 +84,11 @@ type Config struct {
 	ChunkedStaging  bool
 	ChunkBytes      int
 	WireCompression bool
-	// DataAwarePlacement / PlacementProbeTTL select the possession-aware
-	// site scorer; ReplicateTopK / ReplicateWorkers /
-	// ReplicateBudgetBytes enable and bound the background pre-replicator
-	// (see core.Config). All off by default.
-	DataAwarePlacement   bool
-	PlacementProbeTTL    time.Duration
-	ReplicateTopK        int
-	ReplicateWorkers     int
-	ReplicateBudgetBytes int64
+	// DataAwarePlacement selects the possession-aware site scorer;
+	// ReplicateTopK enables the background pre-replicator (see
+	// core.Config). Both off by default.
+	DataAwarePlacement bool
+	ReplicateTopK      int
 	// BlobCacheBytes / GroupCommit tune the blob database (see
 	// blobdb.Options); zero values keep the stock behaviour.
 	BlobCacheBytes int64
@@ -203,35 +199,32 @@ func (img *Image) Boot(ln net.Listener) (*Appliance, error) {
 		MyProxyDial: cfg.MyProxyDial,
 	})
 	coreCfg := core.Config{
-		DB:                   db,
-		Container:            container,
-		Registry:             registry,
-		Agent:                agent,
-		BaseURL:              baseURL,
-		Clock:                cfg.Clock,
-		Probe:                cfg.Probe,
-		Cost:                 cfg.Cost,
-		PollInterval:         cfg.PollInterval,
-		InvocationTimeout:    cfg.InvocationTimeout,
-		ProxyLifetime:        cfg.ProxyLifetime,
-		StagingCache:         cfg.StagingCache,
-		DirectDBWrite:        cfg.DirectDBWrite,
-		UseLongPoll:          cfg.UseLongPoll,
-		SessionCache:         cfg.SessionCache,
-		StatsTTL:             cfg.StatsTTL,
-		PollHub:              cfg.PollHub,
-		PushEvents:           cfg.PushEvents,
-		CoalesceStaging:      cfg.CoalesceStaging,
-		SubmitHub:            cfg.SubmitHub,
-		SubmitHubWindow:      cfg.SubmitHubWindow,
-		ChunkedStaging:       cfg.ChunkedStaging,
-		ChunkBytes:           cfg.ChunkBytes,
-		WireCompression:      cfg.WireCompression,
-		DataAwarePlacement:   cfg.DataAwarePlacement,
-		PlacementProbeTTL:    cfg.PlacementProbeTTL,
-		ReplicateTopK:        cfg.ReplicateTopK,
-		ReplicateWorkers:     cfg.ReplicateWorkers,
-		ReplicateBudgetBytes: cfg.ReplicateBudgetBytes,
+		DB:                 db,
+		Container:          container,
+		Registry:           registry,
+		Agent:              agent,
+		BaseURL:            baseURL,
+		Clock:              cfg.Clock,
+		Probe:              cfg.Probe,
+		Cost:               cfg.Cost,
+		PollInterval:       cfg.PollInterval,
+		InvocationTimeout:  cfg.InvocationTimeout,
+		ProxyLifetime:      cfg.ProxyLifetime,
+		StagingCache:       cfg.StagingCache,
+		DirectDBWrite:      cfg.DirectDBWrite,
+		UseLongPoll:        cfg.UseLongPoll,
+		SessionCache:       cfg.SessionCache,
+		StatsTTL:           cfg.StatsTTL,
+		PollHub:            cfg.PollHub,
+		PushEvents:         cfg.PushEvents,
+		CoalesceStaging:    cfg.CoalesceStaging,
+		SubmitHub:          cfg.SubmitHub,
+		SubmitHubWindow:    cfg.SubmitHubWindow,
+		ChunkedStaging:     cfg.ChunkedStaging,
+		ChunkBytes:         cfg.ChunkBytes,
+		WireCompression:    cfg.WireCompression,
+		DataAwarePlacement: cfg.DataAwarePlacement,
+		ReplicateTopK:      cfg.ReplicateTopK,
 	}
 	if cfg.Trace != nil {
 		coreCfg.Tracing = trace.NewTracer("onserve", cfg.Clock, cfg.Trace)

@@ -203,9 +203,6 @@ type Config struct {
 	// site, push it asynchronously to the K least-loaded sibling sites
 	// through the chunked pipeline. 0 (the default) disables it.
 	ReplicateTopK int
-	// ReplicateWorkers bounds the replicator's concurrent pushes; 0
-	// means DefaultReplicateWorkers.
-	ReplicateWorkers int
 	// ReplicateBudgetBytes caps the wire bytes the replicator pushes per
 	// minute-long cycle; 0 means DefaultReplicateBudgetBytes.
 	ReplicateBudgetBytes int64
@@ -305,9 +302,6 @@ func New(cfg Config) (*OnServe, error) {
 	}
 	if cfg.PlacementProbeTTL <= 0 {
 		cfg.PlacementProbeTTL = DefaultPlacementProbeTTL
-	}
-	if cfg.ReplicateWorkers <= 0 {
-		cfg.ReplicateWorkers = DefaultReplicateWorkers
 	}
 	if cfg.ReplicateBudgetBytes <= 0 {
 		cfg.ReplicateBudgetBytes = DefaultReplicateBudgetBytes

@@ -18,14 +18,13 @@ import (
 
 // Replicator defaults.
 const (
-	// DefaultReplicateWorkers is the push worker-pool size when
-	// Config.ReplicateWorkers is unset.
-	DefaultReplicateWorkers = 2
 	// DefaultReplicateBudgetBytes caps the wire bytes the replicator may
 	// push per cycle when Config.ReplicateBudgetBytes is unset.
 	DefaultReplicateBudgetBytes = 256 << 20
 	// replicateCycle is the budget window.
 	replicateCycle = time.Minute
+	// replicateWorkers bounds the replicator's concurrent pushes.
+	replicateWorkers = 2
 )
 
 // repTask is one queued pre-replication: push service's executable from
@@ -75,7 +74,7 @@ func (r *replicator) enqueue(t repTask) {
 	}
 	r.seen[t.service] = t.checksum
 	r.queue = append(r.queue, t)
-	if r.workers < r.o.cfg.ReplicateWorkers {
+	if r.workers < replicateWorkers {
 		r.workers++
 		go r.run()
 	}

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/gsh"
 	"repro/internal/metrics"
-	"repro/internal/wsclient"
 )
 
 // AblationRow compares one design variant against the paper's stock
@@ -56,25 +55,25 @@ func AblationDoubleWrite(opts Options, fileKB int) (*AblationResult, error) {
 		direct bool
 	}{{"stock", false}, {"direct", true}} {
 		o := opts
-		o.DirectDBWrite = variant.direct
-		r, err := newRig(o)
+		o.App.DirectDBWrite = variant.direct
+		err := withRig(o, func(r *rig) error {
+			program := string(gsh.Pad([]byte("echo x\n"), fileKB<<10))
+			r.rec.Reset()
+			start := r.clock.Now()
+			if err := r.portal().upload("", "ab.gsh", program); err != nil {
+				return err
+			}
+			elapsed := r.clock.Now().Sub(start).Seconds()
+			sum := seriesSummary(r.rec.Series())
+			res.Rows = append(res.Rows,
+				AblationRow{Study: "double-write", Variant: variant.name, Metric: "disk_write_total_kb", Value: sum["disk_write_total_b"] / 1024},
+				AblationRow{Study: "double-write", Variant: variant.name, Metric: "upload_latency_s", Value: elapsed},
+			)
+			return nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		program := string(gsh.Pad([]byte("echo x\n"), fileKB<<10))
-		r.rec.Reset()
-		start := r.clock.Now()
-		if err := r.uploadViaPortal("ab.gsh", program); err != nil {
-			r.close()
-			return nil, err
-		}
-		elapsed := r.clock.Now().Sub(start).Seconds()
-		sum := seriesSummary(r.rec.Series())
-		res.Rows = append(res.Rows,
-			AblationRow{Study: "double-write", Variant: variant.name, Metric: "disk_write_total_kb", Value: sum["disk_write_total_b"] / 1024},
-			AblationRow{Study: "double-write", Variant: variant.name, Metric: "upload_latency_s", Value: elapsed},
-		)
-		r.close()
 	}
 	return res, nil
 }
@@ -99,44 +98,34 @@ func AblationStagingCache(opts Options, fileKB, invocations int) (*AblationResul
 		cache bool
 	}{{"stock", false}, {"cache", true}} {
 		o := opts
-		o.StagingCache = variant.cache
+		o.App.StagingCache = variant.cache
 		// Fine polling keeps completion-detection quantisation from
 		// drowning the staging-time difference under comparison.
-		o.PollInterval = 3 * time.Second
-		r, err := newRig(o)
-		if err != nil {
-			return nil, err
-		}
-		program := string(gsh.Pad([]byte("compute 1s\necho ok\n"), fileKB<<10))
-		if err := r.uploadViaPortal("cachejob.gsh", program); err != nil {
-			r.close()
-			return nil, err
-		}
-		proxy, err := wsclient.ImportURL(r.app.BaseURL+"/services/CachejobService", r.userHTTP)
-		if err != nil {
-			r.close()
-			return nil, err
-		}
-		r.rec.Reset()
-		start := r.clock.Now()
-		for i := 0; i < invocations; i++ {
-			ticket, err := proxy.Invoke("execute", nil)
+		o.App.PollInterval = 3 * time.Second
+		err := withRig(o, func(r *rig) error {
+			program := string(gsh.Pad([]byte("compute 1s\necho ok\n"), fileKB<<10))
+			proxy, err := r.publish("cachejob.gsh", program)
 			if err != nil {
-				r.close()
-				return nil, err
+				return err
 			}
-			if _, err := proxy.Invoke("wait", map[string]string{"ticket": ticket}); err != nil {
-				r.close()
-				return nil, err
+			r.rec.Reset()
+			start := r.clock.Now()
+			for i := 0; i < invocations; i++ {
+				if _, _, err := invokeWait(proxy, nil); err != nil {
+					return err
+				}
 			}
+			elapsed := r.clock.Now().Sub(start).Seconds()
+			sum := seriesSummary(r.rec.Series())
+			res.Rows = append(res.Rows,
+				AblationRow{Study: "staging-cache", Variant: variant.name, Metric: "net_out_total_kb", Value: sum["net_out_total_b"] / 1024},
+				AblationRow{Study: "staging-cache", Variant: variant.name, Metric: "makespan_s", Value: elapsed},
+			)
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		elapsed := r.clock.Now().Sub(start).Seconds()
-		sum := seriesSummary(r.rec.Series())
-		res.Rows = append(res.Rows,
-			AblationRow{Study: "staging-cache", Variant: variant.name, Metric: "net_out_total_kb", Value: sum["net_out_total_b"] / 1024},
-			AblationRow{Study: "staging-cache", Variant: variant.name, Metric: "makespan_s", Value: elapsed},
-		)
-		r.close()
 	}
 	return res, nil
 }
@@ -165,41 +154,31 @@ func AblationPolling(opts Options, intervals []time.Duration) (*AblationResult, 
 	}
 	for _, v := range variants {
 		o := opts
-		o.UseLongPoll = v.longPoll
+		o.App.UseLongPoll = v.longPoll
 		if v.interval > 0 {
-			o.PollInterval = v.interval
+			o.App.PollInterval = v.interval
 		}
-		r, err := newRig(o)
+		err := withRig(o, func(r *rig) error {
+			proxy, err := r.publish("polljob.gsh", "emit 6s 10 progress-line\n")
+			if err != nil {
+				return err
+			}
+			r.rec.Reset()
+			start := r.clock.Now()
+			if _, _, err := invokeWait(proxy, nil); err != nil {
+				return err
+			}
+			elapsed := r.clock.Now().Sub(start).Seconds()
+			sum := seriesSummary(r.rec.Series())
+			res.Rows = append(res.Rows,
+				AblationRow{Study: "poll-interval", Variant: v.name, Metric: "poll_disk_write_kb", Value: sum["disk_write_total_b"] / 1024},
+				AblationRow{Study: "poll-interval", Variant: v.name, Metric: "completion_latency_s", Value: elapsed - 60},
+			)
+			return nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		if err := r.uploadViaPortal("polljob.gsh", "emit 6s 10 progress-line\n"); err != nil {
-			r.close()
-			return nil, err
-		}
-		proxy, err := wsclient.ImportURL(r.app.BaseURL+"/services/PolljobService", r.userHTTP)
-		if err != nil {
-			r.close()
-			return nil, err
-		}
-		r.rec.Reset()
-		start := r.clock.Now()
-		ticket, err := proxy.Invoke("execute", nil)
-		if err != nil {
-			r.close()
-			return nil, err
-		}
-		if _, err := proxy.Invoke("wait", map[string]string{"ticket": ticket}); err != nil {
-			r.close()
-			return nil, err
-		}
-		elapsed := r.clock.Now().Sub(start).Seconds()
-		sum := seriesSummary(r.rec.Series())
-		res.Rows = append(res.Rows,
-			AblationRow{Study: "poll-interval", Variant: v.name, Metric: "poll_disk_write_kb", Value: sum["disk_write_total_b"] / 1024},
-			AblationRow{Study: "poll-interval", Variant: v.name, Metric: "completion_latency_s", Value: elapsed - 60},
-		)
-		r.close()
 	}
 	return res, nil
 }
@@ -219,29 +198,28 @@ func AblationCompression(opts Options, fileKB int) (*AblationResult, error) {
 		name string
 		bps  float64
 	}{{"fast-8MBps", 8 << 20}, {"slow-512KBps", 512 << 10}} {
-		cost := metrics.DefaultCost()
-		cost.CompressBps = variant.bps
-		cost.DecompressBps = 3 * variant.bps
 		o := opts
-		o.Cost = &cost
-		r, err := newRig(o)
+		o.App.Cost = metrics.DefaultCost()
+		o.App.Cost.CompressBps = variant.bps
+		o.App.Cost.DecompressBps = 3 * variant.bps
+		err := withRig(o, func(r *rig) error {
+			program := string(gsh.Pad([]byte("echo x\n"), fileKB<<10))
+			r.rec.Reset()
+			start := r.clock.Now()
+			if err := r.portal().upload("", "zip.gsh", program); err != nil {
+				return err
+			}
+			elapsed := r.clock.Now().Sub(start).Seconds()
+			sum := seriesSummary(r.rec.Series())
+			res.Rows = append(res.Rows,
+				AblationRow{Study: "compression", Variant: variant.name, Metric: "upload_cpu_total_s", Value: sum["cpu_total_s"]},
+				AblationRow{Study: "compression", Variant: variant.name, Metric: "upload_latency_s", Value: elapsed},
+			)
+			return nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		program := string(gsh.Pad([]byte("echo x\n"), fileKB<<10))
-		r.rec.Reset()
-		start := r.clock.Now()
-		if err := r.uploadViaPortal("zip.gsh", program); err != nil {
-			r.close()
-			return nil, err
-		}
-		elapsed := r.clock.Now().Sub(start).Seconds()
-		sum := seriesSummary(r.rec.Series())
-		res.Rows = append(res.Rows,
-			AblationRow{Study: "compression", Variant: variant.name, Metric: "upload_cpu_total_s", Value: sum["cpu_total_s"]},
-			AblationRow{Study: "compression", Variant: variant.name, Metric: "upload_latency_s", Value: elapsed},
-		)
-		r.close()
 	}
 	return res, nil
 }

@@ -14,7 +14,6 @@ import (
 	"repro/internal/jsdl"
 	"repro/internal/myproxy"
 	"repro/internal/netsim"
-	"repro/internal/wsclient"
 	"repro/internal/xsec"
 )
 
@@ -68,11 +67,7 @@ func BaselineJSE(opts Options, fileKB int) (*BaselineResult, error) {
 	}}
 
 	// --- JSE direct: the user's own client drives every grid protocol.
-	{
-		r, err := newRig(opts)
-		if err != nil {
-			return nil, err
-		}
+	err := withRig(opts, func(r *rig) error {
 		// The "user" works from their own machine across the WAN.
 		dialer := &netsim.Dialer{Profile: r.wan, Probe: r.probe}
 		userGridHTTP := &http.Client{Transport: &http.Transport{DialContext: dialer.DialContext}}
@@ -88,15 +83,13 @@ func BaselineJSE(opts Options, fileKB int) (*BaselineResult, error) {
 		}
 		proxy, err := mp.Get("alice", "pw", time.Hour)
 		if err != nil {
-			r.close()
-			return nil, fmt.Errorf("baseline: logon: %w", err)
+			return fmt.Errorf("baseline: logon: %w", err)
 		}
 		// Step 2: choose a site and stage the executable via GridFTP.
 		siteName := r.env.Grid.SiteNames()[0]
 		ftp := &gridftp.Client{BaseURL: r.env.FTPURLs[siteName], Cred: proxy, HTTP: userGridHTTP}
 		if _, err := ftp.Put("baseline.gsh", program); err != nil {
-			r.close()
-			return nil, fmt.Errorf("baseline: stage: %w", err)
+			return fmt.Errorf("baseline: stage: %w", err)
 		}
 		// Step 3: write the job description; Step 4: submit via GRAM. The
 		// proxy speaks for alice, so the owner is the end-entity identity.
@@ -105,18 +98,15 @@ func BaselineJSE(opts Options, fileKB int) (*BaselineResult, error) {
 			Owner: xsec.Identity(proxy.Chain), Executable: "baseline.gsh", Site: siteName,
 		})
 		if err != nil {
-			r.close()
-			return nil, fmt.Errorf("baseline: submit: %w", err)
+			return fmt.Errorf("baseline: submit: %w", err)
 		}
 		// Step 5: poll status; Step 6: fetch output.
 		st, err := gc.WaitTerminal(jobID, r.clock, 9*time.Second, time.Hour)
 		if err != nil || st.State != "DONE" {
-			r.close()
-			return nil, fmt.Errorf("baseline: job %v: %v", st, err)
+			return fmt.Errorf("baseline: job %v: %v", st, err)
 		}
 		if _, err := gc.Output(jobID); err != nil {
-			r.close()
-			return nil, err
+			return err
 		}
 		elapsed := r.clock.Now().Sub(start).Seconds()
 		sum := seriesSummary(r.rec.Series())
@@ -124,34 +114,22 @@ func BaselineJSE(opts Options, fileKB int) (*BaselineResult, error) {
 			Model: "jse-direct", LatencyS: elapsed,
 			WANBytes: sum["net_out_total_b"] + sum["net_in_total_b"], UserSteps: 6,
 		})
-		r.close()
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// --- SaaS through onServe: one service invocation.
-	{
-		r, err := newRig(opts)
+	err = withRig(opts, func(r *rig) error {
+		proxy, err := r.publish("baseline.gsh", string(program))
 		if err != nil {
-			return nil, err
-		}
-		if err := r.uploadViaPortal("baseline.gsh", string(program)); err != nil {
-			r.close()
-			return nil, err
-		}
-		proxy, err := wsclient.ImportURL(r.app.BaseURL+"/services/BaselineService", r.userHTTP)
-		if err != nil {
-			r.close()
-			return nil, err
+			return err
 		}
 		r.rec.Reset()
 		start := r.clock.Now()
-		ticket, err := proxy.Invoke("execute", nil)
-		if err != nil {
-			r.close()
-			return nil, err
-		}
-		if _, err := proxy.Invoke("wait", map[string]string{"ticket": ticket}); err != nil {
-			r.close()
-			return nil, err
+		if _, _, err := invokeWait(proxy, nil); err != nil {
+			return err
 		}
 		elapsed := r.clock.Now().Sub(start).Seconds()
 		sum := seriesSummary(r.rec.Series())
@@ -159,7 +137,10 @@ func BaselineJSE(opts Options, fileKB int) (*BaselineResult, error) {
 			Model: "onserve-saas", LatencyS: elapsed,
 			WANBytes: sum["net_out_total_b"] + sum["net_in_total_b"], UserSteps: 2,
 		})
-		r.close()
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }

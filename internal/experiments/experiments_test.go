@@ -220,7 +220,7 @@ func TestRecorderResetIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.close()
-	if err := r.uploadViaPortal("x.gsh", "echo x\n"); err != nil {
+	if err := r.portal().upload("", "x.gsh", "echo x\n"); err != nil {
 		t.Fatal(err)
 	}
 	r.rec.Reset()

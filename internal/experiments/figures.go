@@ -1,16 +1,11 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
-	"io"
-	"mime/multipart"
-	"net/http"
 	"strings"
 
 	"repro/internal/gsh"
 	"repro/internal/metrics"
-	"repro/internal/wsclient"
 )
 
 // smallProgram is the Fig. 6 workload: "a very small file (some bytes)".
@@ -20,51 +15,6 @@ const smallProgram = "# tiny grid job\ncompute 2s\nemit 9s 3 partial-output ${ta
 
 // largeProgramSize is Fig. 7's "much larger file (~5MB)".
 const largeProgramSize = 5 << 20
-
-// uploadViaPortal posts the multipart upload form, as the paper's
-// browser dialog does.
-func (r *rig) uploadViaPortal(fileName, program string, paramNames ...string) error {
-	var buf bytes.Buffer
-	mw := multipart.NewWriter(&buf)
-	fw, err := mw.CreateFormFile("file", fileName)
-	if err != nil {
-		return err
-	}
-	if _, err := io.WriteString(fw, program); err != nil {
-		return err
-	}
-	mw.WriteField("user", "alice")
-	mw.WriteField("description", "experiment upload")
-	for i, name := range paramNames {
-		mw.WriteField(fmt.Sprintf("paramName%d", i+1), name)
-		mw.WriteField(fmt.Sprintf("paramType%d", i+1), "string")
-	}
-	mw.Close()
-	resp, err := r.userHTTP.Post(r.app.BaseURL+"/upload", mw.FormDataContentType(), &buf)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("experiments: upload failed (%d): %s", resp.StatusCode, body)
-	}
-	return nil
-}
-
-// invokeGenerated drives the generated service through a wsimport-style
-// proxy: execute, then wait for the final output.
-func (r *rig) invokeGenerated(serviceName string, args map[string]string) (string, error) {
-	proxy, err := wsclient.ImportURL(r.app.BaseURL+"/services/"+serviceName, r.userHTTP)
-	if err != nil {
-		return "", err
-	}
-	ticket, err := proxy.Invoke("execute", args)
-	if err != nil {
-		return "", err
-	}
-	return proxy.Invoke("wait", map[string]string{"ticket": ticket})
-}
 
 // Fig6 reproduces "Web service execution: CPU utilization, network and
 // hard disk I/O (3 seconds interval)". Expected shape: hard-disk use very
@@ -78,13 +28,13 @@ func Fig6(opts Options) (*Result, error) {
 		return nil, err
 	}
 	defer r.close()
-	if err := r.uploadViaPortal("smalljob.gsh", smallProgram, "tag"); err != nil {
+	if err := r.portal().upload("", "smalljob.gsh", smallProgram, "tag"); err != nil {
 		return nil, err
 	}
 
 	// Measurement covers only the Web-service execution.
 	r.rec.Reset()
-	out, err := r.invokeGenerated("SmalljobService", map[string]string{"tag": "fig6"})
+	_, out, err := r.invokeGenerated("SmalljobService", map[string]string{"tag": "fig6"})
 	if err != nil {
 		return nil, err
 	}
@@ -121,12 +71,12 @@ func Fig7(opts Options) (*Result, error) {
 	}
 	defer r.close()
 	program := string(gsh.Pad([]byte(smallProgram), largeProgramSize))
-	if err := r.uploadViaPortal("bigjob.gsh", program, "tag"); err != nil {
+	if err := r.portal().upload("", "bigjob.gsh", program, "tag"); err != nil {
 		return nil, err
 	}
 
 	r.rec.Reset()
-	if _, err := r.invokeGenerated("BigjobService", map[string]string{"tag": "fig7"}); err != nil {
+	if _, _, err := r.invokeGenerated("BigjobService", map[string]string{"tag": "fig7"}); err != nil {
 		return nil, err
 	}
 	series := r.rec.Series()
@@ -134,7 +84,8 @@ func Fig7(opts Options) (*Result, error) {
 
 	// Estimate the upload plateau: buckets where outbound traffic is
 	// within half of the per-bucket WAN capacity.
-	capacity := 85.0 * 1024 * 3 // bytes per 3s bucket at 85 KB/s
+	bucketS := sampleInterval.Seconds()
+	capacity := 85.0 * 1024 * bucketS // bytes per bucket at 85 KB/s
 	plateau := 0
 	var plateauBytes float64
 	for _, s := range series {
@@ -143,9 +94,9 @@ func Fig7(opts Options) (*Result, error) {
 			plateauBytes += s.NetOutBytes
 		}
 	}
-	sum["upload_plateau_s"] = float64(plateau) * 3
+	sum["upload_plateau_s"] = float64(plateau) * bucketS
 	if plateau > 0 {
-		sum["upload_rate_kbps"] = plateauBytes / float64(plateau) / 3 / 1024
+		sum["upload_rate_kbps"] = plateauBytes / float64(plateau) / bucketS / 1024
 	}
 	return &Result{
 		Name:    "fig7",
@@ -176,7 +127,7 @@ func Fig8(opts Options) (*Result, error) {
 	program := string(gsh.Pad([]byte(smallProgram), largeProgramSize))
 
 	r.rec.Reset()
-	if err := r.uploadViaPortal("genjob.gsh", program, "tag"); err != nil {
+	if err := r.portal().upload("", "genjob.gsh", program, "tag"); err != nil {
 		return nil, err
 	}
 	series := r.rec.Series()

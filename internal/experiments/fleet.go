@@ -1,15 +1,10 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
-	"mime/multipart"
 	"net"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -57,6 +52,8 @@ func AblationFleet(opts Options, fleets []int, invocations int) (*AblationResult
 	if opts.Scale <= 0 || opts.Scale > 40 {
 		opts.Scale = 40
 	}
+	opts.App.PollInterval = 3 * time.Second
+	opts.App.SessionCache = true
 	res := &AblationResult{Notes: []string{
 		fmt.Sprintf("%d simultaneous invocations, 4 per service over %d services, POSTed through the fleet gateway", invocations, invocations/4),
 		fmt.Sprintf("each service's executable is %d KB; the staging cache is off, so every invocation re-stages it across its appliance's ~85 KB/s WAN uplink — the paper's single-appliance bottleneck", fleetPayloadKB),
@@ -109,15 +106,15 @@ func newFleetRig(o Options, fleetN int) (*fleetRig, error) {
 		env.Close()
 		return nil, err
 	}
+	app := o.App
+	app.Endpoints = env.Endpoints()
+	app.Clock = clk
+	if app.InvocationTimeout <= 0 {
+		app.InvocationTimeout = time.Hour
+	}
 	gw, err := gateway.Boot(gateway.Config{
-		Fleet: fleetN,
-		Appliance: appliance.Config{
-			Endpoints:         env.Endpoints(),
-			Clock:             clk,
-			PollInterval:      3 * time.Second,
-			InvocationTimeout: time.Hour,
-			SessionCache:      true,
-		},
+		Fleet:     fleetN,
+		Appliance: app,
 		// Each shard gets its own shaped WAN uplink toward the grid — the
 		// fleet's whole point is multiplying this link.
 		PerShard: func(i int, cfg appliance.Config) appliance.Config {
@@ -149,71 +146,6 @@ func (r *fleetRig) close() {
 	r.env.Close()
 }
 
-// uploadService publishes one padded executable through the gateway.
-func (r *fleetRig) uploadService(fileName string) error {
-	program := string(gsh.Pad([]byte("compute 1s\necho ok\n"), fleetPayloadKB<<10))
-	var buf bytes.Buffer
-	mw := multipart.NewWriter(&buf)
-	fw, err := mw.CreateFormFile("file", fileName)
-	if err != nil {
-		return err
-	}
-	io.WriteString(fw, program)
-	mw.WriteField("user", "alice")
-	mw.WriteField("description", "fleet ablation")
-	mw.Close()
-	resp, err := http.Post(r.gw.BaseURL+"/upload", mw.FormDataContentType(), &buf)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("upload %s: status %d: %s", fileName, resp.StatusCode, body)
-	}
-	return nil
-}
-
-// fleetInvoke drives one invocation through the gateway, returning an
-// error on any non-200 so callers can re-issue.
-func fleetInvoke(base, service, arg string) error {
-	payload, _ := json.Marshal(map[string]any{"service": service, "args": map[string]string{"x": arg}})
-	resp, err := http.Post(base+"/api/invoke", "application/json", bytes.NewReader(payload))
-	if err != nil {
-		return err
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("invoke: status %d: %s", resp.StatusCode, body)
-	}
-	var inv struct {
-		Ticket string `json:"ticket"`
-	}
-	if err := json.Unmarshal(body, &inv); err != nil || inv.Ticket == "" {
-		return fmt.Errorf("invoke reply %q: %v", body, err)
-	}
-	resp, err = http.Get(base + "/api/wait?ticket=" + inv.Ticket)
-	if err != nil {
-		return err
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("wait: status %d: %s", resp.StatusCode, body)
-	}
-	var done struct {
-		State string `json:"state"`
-	}
-	if err := json.Unmarshal(body, &done); err != nil {
-		return err
-	}
-	if done.State != string(core.InvDone) {
-		return fmt.Errorf("wait: state %s", done.State)
-	}
-	return nil
-}
-
 // fleetBurst boots one fleet, publishes the service set, fires the
 // burst, and accounts gateway + fleet-wide counters. With kill set, one
 // appliance is hard-killed once an eighth of the burst has completed.
@@ -228,12 +160,33 @@ func fleetBurst(o Options, study, variant string, fleetN, invocations int, kill 
 	if nServices < 1 {
 		nServices = 1
 	}
+	p := portalClient{r.gw.BaseURL, http.DefaultClient}
+	program := string(gsh.Pad([]byte("compute 1s\necho ok\n"), fleetPayloadKB<<10))
 	services := make([]string, nServices)
 	for i := range services {
-		if err := r.uploadService(fmt.Sprintf("fleetjob%02d.gsh", i)); err != nil {
+		if err := p.upload("", fmt.Sprintf("fleetjob%02d.gsh", i), program); err != nil {
 			return nil, err
 		}
 		services[i] = fmt.Sprintf("Fleetjob%02dService", i)
+	}
+	// invoke runs one invocation to completion, failing on any non-200
+	// or non-done outcome so the burst can re-issue it.
+	invoke := func(service, arg string) error {
+		ticket, status, err := p.invoke("", service, map[string]string{"x": arg})
+		if err != nil {
+			return err
+		}
+		if status != http.StatusOK {
+			return fmt.Errorf("invoke: status %d", status)
+		}
+		state, err := p.wait(ticket)
+		if err != nil {
+			return err
+		}
+		if state != string(core.InvDone) {
+			return fmt.Errorf("wait: state %s", state)
+		}
+		return nil
 	}
 
 	// The failover victim is the shard owning the most services — killing
@@ -253,17 +206,10 @@ func fleetBurst(o Options, study, variant string, fleetN, invocations int, kill 
 	}
 
 	start := r.clock.Now()
-	var (
-		wg        sync.WaitGroup
-		completed atomic.Uint64
-		reissues  atomic.Uint64
-	)
-	errs := make(chan error, invocations)
-	for i := 0; i < invocations; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+	var completed, reissues atomic.Uint64
+	burstDone := make(chan error, 1)
+	go func() {
+		burstDone <- parallel(invocations, 0, func(i int) error {
 			svc := services[i%len(services)]
 			var lastErr error
 			for attempt := 0; attempt < 10; attempt++ {
@@ -271,17 +217,17 @@ func fleetBurst(o Options, study, variant string, fleetN, invocations int, kill 
 					reissues.Add(1)
 					time.Sleep(100 * time.Millisecond)
 				}
-				if lastErr = fleetInvoke(r.gw.BaseURL, svc, fmt.Sprint(i)); lastErr == nil {
+				if lastErr = invoke(svc, fmt.Sprint(i)); lastErr == nil {
 					completed.Add(1)
-					return
+					return nil
 				}
 				if !kill {
 					break // healthy runs must succeed first try
 				}
 			}
-			errs <- fmt.Errorf("invocation %d: %w", i, lastErr)
-		}()
-	}
+			return fmt.Errorf("invocation %d: %w", i, lastErr)
+		})
+	}()
 	if kill {
 		// Hard-kill the victim once the burst is demonstrably in flight —
 		// after the first completion, while the victim still holds most of
@@ -293,9 +239,7 @@ func fleetBurst(o Options, study, variant string, fleetN, invocations int, kill 
 			return nil, err
 		}
 	}
-	wg.Wait()
-	close(errs)
-	if err := <-errs; err != nil {
+	if err := <-burstDone; err != nil {
 		return nil, err
 	}
 	elapsed := r.clock.Now().Sub(start).Seconds()

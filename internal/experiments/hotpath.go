@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/blobdb"
 	"repro/internal/gsh"
-	"repro/internal/wsclient"
 )
 
 // HotPathVariants lists the invocation hot-path ablation variants in
@@ -44,58 +43,48 @@ func AblationHotPath(opts Options, fileKB, invocations int, variants ...string) 
 		o := opts
 		// Fine polling keeps completion-detection quantisation from
 		// drowning the per-invocation setup difference under comparison.
-		o.PollInterval = 3 * time.Second
+		o.App.PollInterval = 3 * time.Second
 		switch variant {
 		case "stock":
 		case "session-cache":
-			o.SessionCache = true
+			o.App.SessionCache = true
 		case "stats-ttl":
-			o.StatsTTL = 30 * time.Second
+			o.App.StatsTTL = 30 * time.Second
 		case "blob-lru":
-			o.BlobCacheBytes = 256 << 20
+			o.App.BlobCacheBytes = 256 << 20
 		case "warm":
-			o.SessionCache = true
-			o.StatsTTL = 30 * time.Second
-			o.BlobCacheBytes = 256 << 20
+			o.App.SessionCache = true
+			o.App.StatsTTL = 30 * time.Second
+			o.App.BlobCacheBytes = 256 << 20
 		default:
 			return nil, fmt.Errorf("experiments: unknown hot-path variant %q", variant)
 		}
-		r, err := newRig(o)
-		if err != nil {
-			return nil, err
-		}
-		program := string(gsh.Pad([]byte("compute 1s\necho ok\n"), fileKB<<10))
-		if err := r.uploadViaPortal("hotjob.gsh", program); err != nil {
-			r.close()
-			return nil, err
-		}
-		proxy, err := wsclient.ImportURL(r.app.BaseURL+"/services/HotjobService", r.userHTTP)
-		if err != nil {
-			r.close()
-			return nil, err
-		}
-		r.rec.Reset()
-		start := r.clock.Now()
-		for i := 0; i < invocations; i++ {
-			ticket, err := proxy.Invoke("execute", nil)
+		err := withRig(o, func(r *rig) error {
+			program := string(gsh.Pad([]byte("compute 1s\necho ok\n"), fileKB<<10))
+			proxy, err := r.publish("hotjob.gsh", program)
 			if err != nil {
-				r.close()
-				return nil, err
+				return err
 			}
-			if _, err := proxy.Invoke("wait", map[string]string{"ticket": ticket}); err != nil {
-				r.close()
-				return nil, err
+			r.rec.Reset()
+			start := r.clock.Now()
+			for i := 0; i < invocations; i++ {
+				if _, _, err := invokeWait(proxy, nil); err != nil {
+					return err
+				}
 			}
+			elapsed := r.clock.Now().Sub(start).Seconds()
+			sum := seriesSummary(r.rec.Series())
+			res.Rows = append(res.Rows,
+				AblationRow{Study: "hot-path", Variant: variant, Metric: "makespan_s", Value: elapsed},
+				AblationRow{Study: "hot-path", Variant: variant, Metric: "per_invoke_s", Value: elapsed / float64(invocations)},
+				AblationRow{Study: "hot-path", Variant: variant, Metric: "net_out_total_kb", Value: sum["net_out_total_b"] / 1024},
+				AblationRow{Study: "hot-path", Variant: variant, Metric: "cpu_total_s", Value: sum["cpu_total_s"]},
+			)
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		elapsed := r.clock.Now().Sub(start).Seconds()
-		sum := seriesSummary(r.rec.Series())
-		res.Rows = append(res.Rows,
-			AblationRow{Study: "hot-path", Variant: variant, Metric: "makespan_s", Value: elapsed},
-			AblationRow{Study: "hot-path", Variant: variant, Metric: "per_invoke_s", Value: elapsed / float64(invocations)},
-			AblationRow{Study: "hot-path", Variant: variant, Metric: "net_out_total_kb", Value: sum["net_out_total_b"] / 1024},
-			AblationRow{Study: "hot-path", Variant: variant, Metric: "cpu_total_s", Value: sum["cpu_total_s"]},
-		)
-		r.close()
 	}
 	return res, nil
 }

@@ -3,13 +3,11 @@ package experiments
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/gridsim"
 	"repro/internal/gsh"
 	"repro/internal/jsdl"
-	"repro/internal/wsclient"
 )
 
 // PlacementVariants lists the site-selection ablation variants: the
@@ -71,19 +69,19 @@ func AblationPlacement(opts Options, invocations int, sizesKB []int, variants ..
 		study := fmt.Sprintf("placement-%dkb", sizeKB)
 		for _, variant := range variants {
 			o := opts
-			o.SessionCache = true
-			o.StagingCache = false
-			o.CoalesceStaging = true
-			o.ChunkedStaging = true
-			o.ChunkBytes = placementChunkBytes
-			o.PollInterval = 3 * time.Second
+			o.App.SessionCache = true
+			o.App.StagingCache = false
+			o.App.CoalesceStaging = true
+			o.App.ChunkedStaging = true
+			o.App.ChunkBytes = placementChunkBytes
+			o.App.PollInterval = 3 * time.Second
 			switch variant {
 			case "load-only":
 			case "data-aware":
-				o.DataAwarePlacement = true
+				o.App.DataAwarePlacement = true
 			case "data-aware+replicate":
-				o.DataAwarePlacement = true
-				o.ReplicateTopK = 1
+				o.App.DataAwarePlacement = true
+				o.App.ReplicateTopK = 1
 			default:
 				return nil, fmt.Errorf("experiments: unknown placement variant %q", variant)
 			}
@@ -136,10 +134,7 @@ func placementBurst(o Options, study, variant string, sizeKB, invocations int) (
 	defer r.close()
 
 	program := string(gsh.Pad([]byte("compute 1s\necho ok\n"), sizeKB<<10))
-	if err := r.uploadViaPortal("burstjob.gsh", program); err != nil {
-		return nil, err
-	}
-	proxy, err := wsclient.ImportURL(r.app.BaseURL+"/services/BurstjobService", r.userHTTP)
+	proxy, err := r.publish("burstjob.gsh", program)
 	if err != nil {
 		return nil, err
 	}
@@ -154,11 +149,7 @@ func placementBurst(o Options, study, variant string, sizeKB, invocations int) (
 	if err != nil {
 		return nil, err
 	}
-	ticket, err := proxy.Invoke("execute", nil)
-	if err == nil {
-		_, err = proxy.Invoke("wait", map[string]string{"ticket": ticket})
-	}
-	if err != nil {
+	if _, _, err := invokeWait(proxy, nil); err != nil {
 		return nil, fmt.Errorf("priming invocation: %w", err)
 	}
 	for _, id := range hogIDs {
@@ -172,25 +163,11 @@ func placementBurst(o Options, study, variant string, sizeKB, invocations int) (
 	stageBefore := r.app.OnServe.StageStats()
 	r.rec.Reset()
 	start := r.clock.Now()
-	var wg sync.WaitGroup
-	errs := make(chan error, invocations)
-	for i := 0; i < invocations; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ticket, err := proxy.Invoke("execute", nil)
-			if err != nil {
-				errs <- err
-				return
-			}
-			if _, err := proxy.Invoke("wait", map[string]string{"ticket": ticket}); err != nil {
-				errs <- err
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	if err := <-errs; err != nil {
+	err = parallel(invocations, 0, func(int) error {
+		_, _, err := invokeWait(proxy, nil)
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
 	elapsed := r.clock.Now().Sub(start).Seconds()

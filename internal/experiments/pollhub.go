@@ -3,10 +3,7 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
-
-	"repro/internal/wsclient"
 )
 
 // PollHubVariants lists the output-collection ablation variants: the
@@ -49,107 +46,79 @@ func AblationPollHub(opts Options, invocations int, variants ...string) (*Ablati
 	}}
 	for _, variant := range variants {
 		o := opts
-		o.SessionCache = true
-		o.StagingCache = true
-		o.PollInterval = 3 * time.Second
+		o.App.SessionCache = true
+		o.App.StagingCache = true
+		o.App.PollInterval = 3 * time.Second
 		switch variant {
 		case "stock":
 		case "hub":
-			o.PollHub = true
+			o.App.PollHub = true
 		case "push":
-			o.PushEvents = true
+			o.App.PushEvents = true
 		default:
 			return nil, fmt.Errorf("experiments: unknown poll-hub variant %q", variant)
 		}
-		r, err := newRig(o)
-		if err != nil {
-			return nil, err
-		}
-		// Three 96-byte progress reports separated by 27 silent seconds:
-		// most polls see an unchanged snapshot, and every re-fetch of the
-		// full snapshot costs real bytes.
-		program := fmt.Sprintf("emit 27s 3 %s\n", strings.Repeat("progress-report ", 6))
-		if err := r.uploadViaPortal("ticker.gsh", program); err != nil {
-			r.close()
-			return nil, err
-		}
-		proxy, err := wsclient.ImportURL(r.app.BaseURL+"/services/TickerService", r.userHTTP)
-		if err != nil {
-			r.close()
-			return nil, err
-		}
-		// Warm up the session and staging caches with one sequential
-		// invocation: a simultaneous cold burst would stampede the session
-		// cache (every invocation missing at once and authenticating its
-		// own session), and the hub batches per session.
-		ticket, err := proxy.Invoke("execute", nil)
-		if err == nil {
-			_, err = proxy.Invoke("wait", map[string]string{"ticket": ticket})
-		}
-		if err != nil {
-			r.close()
-			return nil, fmt.Errorf("experiments: poll-hub %s warm-up: %w", variant, err)
-		}
-		before := r.app.OnServe.CollectorStats()
-		r.rec.Reset()
-		start := r.clock.Now()
-		var wg sync.WaitGroup
-		errs := make(chan error, invocations)
-		var mu sync.Mutex
-		var tickets []string
-		for i := 0; i < invocations; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				ticket, err := proxy.Invoke("execute", nil)
-				if err != nil {
-					errs <- err
-					return
-				}
-				mu.Lock()
-				tickets = append(tickets, ticket)
-				mu.Unlock()
-				if _, err := proxy.Invoke("wait", map[string]string{"ticket": ticket}); err != nil {
-					errs <- err
-				}
-			}()
-		}
-		wg.Wait()
-		close(errs)
-		if err := <-errs; err != nil {
-			r.close()
-			return nil, fmt.Errorf("experiments: poll-hub %s: %w", variant, err)
-		}
-		elapsed := r.clock.Now().Sub(start).Seconds()
-		stats := r.app.OnServe.CollectorStats()
-		stats.StatusRPCs -= before.StatusRPCs
-		stats.OutputFetches -= before.OutputFetches
-		stats.OutputNotModified -= before.OutputNotModified
-		stats.OutputBytes -= before.OutputBytes
-		stats.PollDiskWrites -= before.PollDiskWrites
-		detect, err := meanDetectLatency(r, tickets)
-		if err != nil {
-			r.close()
-			return nil, fmt.Errorf("experiments: poll-hub %s: %w", variant, err)
-		}
-		res.Rows = append(res.Rows,
-			AblationRow{Study: "poll-hub", Variant: variant, Metric: "makespan_s", Value: elapsed},
-			AblationRow{Study: "poll-hub", Variant: variant, Metric: "status_rpcs", Value: float64(stats.StatusRPCs)},
-			AblationRow{Study: "poll-hub", Variant: variant, Metric: "output_fetches", Value: float64(stats.OutputFetches)},
-			AblationRow{Study: "poll-hub", Variant: variant, Metric: "output_not_modified", Value: float64(stats.OutputNotModified)},
-			AblationRow{Study: "poll-hub", Variant: variant, Metric: "output_bytes_kb", Value: float64(stats.OutputBytes) / 1024},
-			AblationRow{Study: "poll-hub", Variant: variant, Metric: "poll_disk_writes", Value: float64(stats.PollDiskWrites)},
-			AblationRow{Study: "poll-hub", Variant: variant, Metric: "detect_latency_s", Value: detect},
-		)
-		if variant == "push" {
-			es := r.app.OnServe.EventStats()
+		err := withRig(o, func(r *rig) error {
+			// Three 96-byte progress reports separated by 27 silent seconds:
+			// most polls see an unchanged snapshot, and every re-fetch of the
+			// full snapshot costs real bytes.
+			program := fmt.Sprintf("emit 27s 3 %s\n", strings.Repeat("progress-report ", 6))
+			proxy, err := r.publish("ticker.gsh", program)
+			if err != nil {
+				return err
+			}
+			// Warm up the session and staging caches with one sequential
+			// invocation: a simultaneous cold burst would stampede the session
+			// cache (every invocation missing at once and authenticating its
+			// own session), and the hub batches per session.
+			if _, _, err := invokeWait(proxy, nil); err != nil {
+				return fmt.Errorf("warm-up: %w", err)
+			}
+			before := r.app.OnServe.CollectorStats()
+			r.rec.Reset()
+			start := r.clock.Now()
+			tickets := make([]string, invocations)
+			err = parallel(invocations, 0, func(i int) error {
+				var err error
+				tickets[i], _, err = invokeWait(proxy, nil)
+				return err
+			})
+			if err != nil {
+				return err
+			}
+			elapsed := r.clock.Now().Sub(start).Seconds()
+			stats := r.app.OnServe.CollectorStats()
+			stats.StatusRPCs -= before.StatusRPCs
+			stats.OutputFetches -= before.OutputFetches
+			stats.OutputNotModified -= before.OutputNotModified
+			stats.OutputBytes -= before.OutputBytes
+			stats.PollDiskWrites -= before.PollDiskWrites
+			detect, err := meanDetectLatency(r, tickets)
+			if err != nil {
+				return err
+			}
 			res.Rows = append(res.Rows,
-				AblationRow{Study: "poll-hub", Variant: variant, Metric: "events_delivered", Value: float64(es.EventsDelivered)},
-				AblationRow{Study: "poll-hub", Variant: variant, Metric: "event_streams", Value: float64(es.StreamsOpened)},
-				AblationRow{Study: "poll-hub", Variant: variant, Metric: "fallbacks_to_poll", Value: float64(es.FallbacksToPoll)},
+				AblationRow{Study: "poll-hub", Variant: variant, Metric: "makespan_s", Value: elapsed},
+				AblationRow{Study: "poll-hub", Variant: variant, Metric: "status_rpcs", Value: float64(stats.StatusRPCs)},
+				AblationRow{Study: "poll-hub", Variant: variant, Metric: "output_fetches", Value: float64(stats.OutputFetches)},
+				AblationRow{Study: "poll-hub", Variant: variant, Metric: "output_not_modified", Value: float64(stats.OutputNotModified)},
+				AblationRow{Study: "poll-hub", Variant: variant, Metric: "output_bytes_kb", Value: float64(stats.OutputBytes) / 1024},
+				AblationRow{Study: "poll-hub", Variant: variant, Metric: "poll_disk_writes", Value: float64(stats.PollDiskWrites)},
+				AblationRow{Study: "poll-hub", Variant: variant, Metric: "detect_latency_s", Value: detect},
 			)
+			if variant == "push" {
+				es := r.app.OnServe.EventStats()
+				res.Rows = append(res.Rows,
+					AblationRow{Study: "poll-hub", Variant: variant, Metric: "events_delivered", Value: float64(es.EventsDelivered)},
+					AblationRow{Study: "poll-hub", Variant: variant, Metric: "event_streams", Value: float64(es.StreamsOpened)},
+					AblationRow{Study: "poll-hub", Variant: variant, Metric: "fallbacks_to_poll", Value: float64(es.FallbacksToPoll)},
+				)
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, fmt.Errorf("experiments: poll-hub %s: %w", variant, err)
 		}
-		r.close()
 	}
 	return res, nil
 }

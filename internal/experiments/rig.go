@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"sync"
 	"time"
 
 	"repro/internal/appliance"
@@ -23,86 +24,37 @@ import (
 	"repro/internal/gridsim"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
-	"repro/internal/tenant"
 	"repro/internal/trace"
 	"repro/internal/vtime"
 )
+
+// sampleInterval is the paper's resource-sampling bucket: the appliance
+// host's CPU, disk and network are summed over 3-second intervals.
+const sampleInterval = 3 * time.Second
 
 // Options tunes an experiment run.
 type Options struct {
 	// Scale is the time dilation factor; default 200 (one real second
 	// covers 200 virtual seconds).
 	Scale float64
-	// SampleInterval defaults to the paper's 3 seconds.
-	SampleInterval time.Duration
-	// PollInterval is the tentative output polling cadence; default 9s.
-	PollInterval time.Duration
 	// Sites defaults to a compact two-site grid (the figures measure the
 	// appliance host, not the grid).
 	Sites []gridsim.SiteConfig
-	// StagingCache / DirectDBWrite / UseLongPoll select ablation and
-	// extension variants.
-	StagingCache  bool
-	DirectDBWrite bool
-	UseLongPoll   bool
-	// SessionCache / StatsTTL / BlobCacheBytes / GroupCommit select the
-	// invocation hot-path optimisations (see core.Config and
-	// blobdb.Options); zero values keep the paper-faithful behaviour.
-	SessionCache   bool
-	StatsTTL       time.Duration
-	BlobCacheBytes int64
-	GroupCommit    bool
-	// WALShards / SegmentBytes / AutoCompact select the sharded, segmented
-	// storage engine and its background compactor (see blobdb.Options);
-	// zero values keep the stock single-WAL layout.
-	WALShards    int
-	SegmentBytes int64
-	AutoCompact  bool
-	// PollHub selects the sharded batched status collector (see
-	// core.Config); off keeps the paper's per-invocation poller.
-	PollHub bool
-	// PushEvents selects the push-based collector: job completion rides
-	// one long-lived gatekeeper event stream per session instead of any
-	// polling (see core.Config); the poll hub rides along as fallback.
-	PushEvents bool
-	// CoalesceStaging / SubmitHub / SubmitHubWindow select the batched
-	// submission front-end (see core.Config); off keeps one upload and
-	// one submit RPC per invocation.
-	CoalesceStaging bool
-	SubmitHub       bool
-	SubmitHubWindow time.Duration
-	// ChunkedStaging / ChunkBytes / WireCompression select the chunked,
-	// content-addressed staging data plane (see core.Config); off keeps
-	// the paper's monolithic uncompressed PUT per staging.
-	ChunkedStaging  bool
-	ChunkBytes      int
-	WireCompression bool
-	// DataAwarePlacement / PlacementProbeTTL / ReplicateTopK select the
-	// possession-aware site scorer and the background pre-replicator
-	// (see core.Config); zero values keep load-only placement.
-	DataAwarePlacement bool
-	PlacementProbeTTL  time.Duration
-	ReplicateTopK      int
-	// Tenancy enables the multi-tenant control plane (API keys, policy,
-	// rate limits, fair-share quotas, audit); nil keeps it off.
-	Tenancy *tenant.Config
-	// Cost overrides the appliance CPU cost model (nil = defaults).
-	Cost *metrics.Cost
 	// Tracing turns on the distributed tracer: one collector shared by
 	// the grid environment and the appliance, so each invocation yields
 	// a single cross-service span tree (read back via rig.trace).
 	Tracing bool
+	// App configures the appliance under test; its zero value is the
+	// paper-faithful appliance. The rig owns the wiring fields
+	// (Endpoints, Clock, Probe, GridHTTP, MyProxyDial, UserProfile,
+	// Trace), and defaults a zero Cost to metrics.DefaultCost() and a
+	// zero InvocationTimeout to one hour.
+	App appliance.Config
 }
 
 func (o *Options) fill() {
 	if o.Scale <= 0 {
 		o.Scale = 200
-	}
-	if o.SampleInterval <= 0 {
-		o.SampleInterval = 3 * time.Second
-	}
-	if o.PollInterval <= 0 {
-		o.PollInterval = 9 * time.Second
 	}
 	if len(o.Sites) == 0 {
 		o.Sites = []gridsim.SiteConfig{
@@ -167,7 +119,7 @@ type rig struct {
 func newRig(opts Options) (*rig, error) {
 	opts.fill()
 	clk := vtime.NewScaled(opts.Scale)
-	rec := metrics.NewRecorder(clk, opts.SampleInterval)
+	rec := metrics.NewRecorder(clk, sampleInterval)
 	probe := metrics.NewProbe(rec)
 	wan := netsim.WAN(clk)
 	lan := netsim.LAN(clk)
@@ -200,44 +152,21 @@ func newRig(opts Options) (*rig, error) {
 		return gridDialer.DialContext(context.Background(), network, addr)
 	}
 
-	cost := metrics.DefaultCost()
-	if opts.Cost != nil {
-		cost = *opts.Cost
+	cfg := opts.App
+	cfg.Endpoints = env.Endpoints()
+	cfg.Clock = clk
+	cfg.Probe = probe
+	cfg.GridHTTP = gridHTTP
+	cfg.MyProxyDial = myproxyDial
+	cfg.UserProfile = lan
+	cfg.Trace = col
+	if cfg.Cost == (metrics.Cost{}) {
+		cfg.Cost = metrics.DefaultCost()
 	}
-	img, err := appliance.BuildImage(appliance.Config{
-		Endpoints:          env.Endpoints(),
-		Clock:              clk,
-		Probe:              probe,
-		Cost:               cost,
-		GridHTTP:           gridHTTP,
-		MyProxyDial:        myproxyDial,
-		UserProfile:        lan,
-		PollInterval:       opts.PollInterval,
-		InvocationTimeout:  time.Hour,
-		StagingCache:       opts.StagingCache,
-		DirectDBWrite:      opts.DirectDBWrite,
-		UseLongPoll:        opts.UseLongPoll,
-		SessionCache:       opts.SessionCache,
-		StatsTTL:           opts.StatsTTL,
-		BlobCacheBytes:     opts.BlobCacheBytes,
-		GroupCommit:        opts.GroupCommit,
-		WALShards:          opts.WALShards,
-		SegmentBytes:       opts.SegmentBytes,
-		AutoCompact:        opts.AutoCompact,
-		PollHub:            opts.PollHub,
-		PushEvents:         opts.PushEvents,
-		CoalesceStaging:    opts.CoalesceStaging,
-		SubmitHub:          opts.SubmitHub,
-		SubmitHubWindow:    opts.SubmitHubWindow,
-		ChunkedStaging:     opts.ChunkedStaging,
-		ChunkBytes:         opts.ChunkBytes,
-		WireCompression:    opts.WireCompression,
-		DataAwarePlacement: opts.DataAwarePlacement,
-		PlacementProbeTTL:  opts.PlacementProbeTTL,
-		ReplicateTopK:      opts.ReplicateTopK,
-		Tenancy:            opts.Tenancy,
-		Trace:              col,
-	})
+	if cfg.InvocationTimeout <= 0 {
+		cfg.InvocationTimeout = time.Hour
+	}
+	img, err := appliance.BuildImage(cfg)
 	if err != nil {
 		env.Close()
 		return nil, err
@@ -264,6 +193,41 @@ func (r *rig) close() {
 	r.env.Close()
 }
 
+// withRig boots a rig for o, runs fn on it and tears it down.
+func withRig(o Options, fn func(*rig) error) error {
+	r, err := newRig(o)
+	if err != nil {
+		return err
+	}
+	defer r.close()
+	return fn(r)
+}
+
+// parallel runs fn(0) .. fn(n-1) concurrently, at most workers at a time
+// (workers <= 0 means all n at once), and returns the first error.
+func parallel(n, workers int, fn func(i int) error) error {
+	if workers <= 0 {
+		workers = n
+	}
+	sem := make(chan struct{}, workers)
+	errs := make(chan error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			if err := fn(i); err != nil {
+				errs <- err
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	return <-errs
+}
+
 // seriesSummary derives the scalar metrics shared by the figures.
 func seriesSummary(series []metrics.Sample) map[string]float64 {
 	sum := map[string]float64{}
@@ -280,13 +244,13 @@ func seriesSummary(series []metrics.Sample) map[string]float64 {
 	}
 	sum["cpu_peak_pct"] = peakCPU
 	for _, s := range series {
-		sum["cpu_total_s"] += s.CPUPct / 100 * 3
+		sum["cpu_total_s"] += s.CPUPct / 100 * sampleInterval.Seconds()
 	}
 	sum["net_in_peak_b"] = peakNetIn
 	sum["net_out_peak_b"] = peakNetOut
 	sum["disk_write_peak_b"] = peakDiskW
 	if n := len(series); n > 0 {
-		sum["duration_s"] = series[n-1].Start.Seconds() + 3
+		sum["duration_s"] = series[n-1].Start.Seconds() + sampleInterval.Seconds()
 	}
 	return sum
 }

@@ -3,11 +3,9 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/gsh"
-	"repro/internal/wsclient"
 )
 
 // ScalabilityRow is one cell of the §VIII-D sweep.
@@ -92,78 +90,44 @@ func Scalability(opts Options, concurrencies []int, fileKB int) (*ScalabilityRes
 
 // scalabilityInvoke measures conc simultaneous invocations of a service
 // whose executable is fileKB large (staging contends on the WAN).
-func scalabilityInvoke(opts Options, conc, fileKB int) (*ScalabilityRow, error) {
-	r, err := newRig(opts)
-	if err != nil {
-		return nil, err
-	}
-	defer r.close()
-	program := string(gsh.Pad([]byte("compute 1s\necho done ${tag}\n"), fileKB<<10))
-	if err := r.uploadViaPortal("sweep.gsh", program, "tag"); err != nil {
-		return nil, err
-	}
-	proxy, err := wsclient.ImportURL(r.app.BaseURL+"/services/SweepService", r.userHTTP)
-	if err != nil {
-		return nil, err
-	}
-
-	r.rec.Reset()
-	start := r.clock.Now()
-	var wg sync.WaitGroup
-	errs := make(chan error, conc)
-	for i := 0; i < conc; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			ticket, err := proxy.Invoke("execute", map[string]string{"tag": fmt.Sprint(i)})
-			if err != nil {
-				errs <- err
-				return
-			}
-			if _, err := proxy.Invoke("wait", map[string]string{"ticket": ticket}); err != nil {
-				errs <- err
-			}
-		}(i)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		return nil, fmt.Errorf("experiments: invoke sweep (conc=%d): %w", conc, err)
-	}
-	makespan := r.clock.Now().Sub(start)
-	return buildRow("invoke", "wan", conc, fileKB, makespan, r), nil
+func scalabilityInvoke(opts Options, conc, fileKB int) (row *ScalabilityRow, err error) {
+	err = withRig(opts, func(r *rig) error {
+		program := string(gsh.Pad([]byte("compute 1s\necho done ${tag}\n"), fileKB<<10))
+		proxy, err := r.publish("sweep.gsh", program, "tag")
+		if err != nil {
+			return err
+		}
+		r.rec.Reset()
+		start := r.clock.Now()
+		err = parallel(conc, 0, func(i int) error {
+			_, _, err := invokeWait(proxy, map[string]string{"tag": fmt.Sprint(i)})
+			return err
+		})
+		if err != nil {
+			return fmt.Errorf("experiments: invoke sweep (conc=%d): %w", conc, err)
+		}
+		row = buildRow("invoke", "wan", conc, fileKB, r.clock.Now().Sub(start), r)
+		return nil
+	})
+	return row, err
 }
 
 // scalabilityUpload measures conc simultaneous portal uploads.
-func scalabilityUpload(opts Options, conc, fileKB int) (*ScalabilityRow, error) {
-	r, err := newRig(opts)
-	if err != nil {
-		return nil, err
-	}
-	defer r.close()
-	program := string(gsh.Pad([]byte("echo stored\n"), fileKB<<10))
-
-	r.rec.Reset()
-	start := r.clock.Now()
-	var wg sync.WaitGroup
-	errs := make(chan error, conc)
-	for i := 0; i < conc; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			name := fmt.Sprintf("up%c.gsh", 'a'+i)
-			if err := r.uploadViaPortal(name, program); err != nil {
-				errs <- err
-			}
-		}(i)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		return nil, fmt.Errorf("experiments: upload sweep (conc=%d): %w", conc, err)
-	}
-	makespan := r.clock.Now().Sub(start)
-	return buildRow("upload", "lan", conc, fileKB, makespan, r), nil
+func scalabilityUpload(opts Options, conc, fileKB int) (row *ScalabilityRow, err error) {
+	err = withRig(opts, func(r *rig) error {
+		program := string(gsh.Pad([]byte("echo stored\n"), fileKB<<10))
+		r.rec.Reset()
+		start := r.clock.Now()
+		err := parallel(conc, 0, func(i int) error {
+			return r.portal().upload("", fmt.Sprintf("up%c.gsh", 'a'+i), program)
+		})
+		if err != nil {
+			return fmt.Errorf("experiments: upload sweep (conc=%d): %w", conc, err)
+		}
+		row = buildRow("upload", "lan", conc, fileKB, r.clock.Now().Sub(start), r)
+		return nil
+	})
+	return row, err
 }
 
 func buildRow(scenario, link string, conc, fileKB int, makespan time.Duration, r *rig) *ScalabilityRow {

@@ -3,9 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync"
-
-	"repro/internal/wsclient"
 )
 
 // SmallJobsResult quantifies §VIII-B's closing observation: "the provided
@@ -48,61 +45,38 @@ func SmallJobs(opts Options, jobs, workers int) (*SmallJobsResult, error) {
 		workers = 8
 	}
 	const computeSeconds = 1.0
-	r, err := newRig(opts)
-	if err != nil {
-		return nil, err
-	}
-	defer r.close()
-	if err := r.uploadViaPortal("tiny.gsh", "compute 1s\necho ok ${i}\n", "i"); err != nil {
-		return nil, err
-	}
-	proxy, err := wsclient.ImportURL(r.app.BaseURL+"/services/TinyService", r.userHTTP)
-	if err != nil {
-		return nil, err
-	}
-
-	r.rec.Reset()
-	start := r.clock.Now()
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	errs := make(chan error, jobs)
-	for i := 0; i < jobs; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			ticket, err := proxy.Invoke("execute", map[string]string{"i": fmt.Sprint(i)})
-			if err != nil {
-				errs <- err
-				return
+	var res *SmallJobsResult
+	err := withRig(opts, func(r *rig) error {
+		proxy, err := r.publish("tiny.gsh", "compute 1s\necho ok ${i}\n", "i")
+		if err != nil {
+			return err
+		}
+		r.rec.Reset()
+		start := r.clock.Now()
+		err = parallel(jobs, workers, func(i int) error {
+			_, out, err := invokeWait(proxy, map[string]string{"i": fmt.Sprint(i)})
+			if err == nil && !strings.Contains(out, fmt.Sprintf("ok %d", i)) {
+				err = fmt.Errorf("job %d wrong output %q", i, out)
 			}
-			out, err := proxy.Invoke("wait", map[string]string{"ticket": ticket})
-			if err != nil {
-				errs <- err
-				return
-			}
-			if !strings.Contains(out, fmt.Sprintf("ok %d", i)) {
-				errs <- fmt.Errorf("job %d wrong output %q", i, out)
-			}
-		}(i)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		return nil, fmt.Errorf("experiments: small jobs: %w", err)
-	}
-	makespan := r.clock.Now().Sub(start).Seconds()
-	sum := seriesSummary(r.rec.Series())
-	perJobWall := makespan * float64(workers) / float64(jobs)
-	return &SmallJobsResult{
-		Jobs:          jobs,
-		Workers:       workers,
-		MakespanS:     makespan,
-		JobsPerMinute: float64(jobs) / (makespan / 60),
-		ComputeS:      computeSeconds,
-		OverheadS:     perJobWall - computeSeconds,
-		NetOutKB:      sum["net_out_total_b"] / 1024,
-		DiskWriteKB:   sum["disk_write_total_b"] / 1024,
-	}, nil
+			return err
+		})
+		if err != nil {
+			return fmt.Errorf("experiments: small jobs: %w", err)
+		}
+		makespan := r.clock.Now().Sub(start).Seconds()
+		sum := seriesSummary(r.rec.Series())
+		perJobWall := makespan * float64(workers) / float64(jobs)
+		res = &SmallJobsResult{
+			Jobs:          jobs,
+			Workers:       workers,
+			MakespanS:     makespan,
+			JobsPerMinute: float64(jobs) / (makespan / 60),
+			ComputeS:      computeSeconds,
+			OverheadS:     perJobWall - computeSeconds,
+			NetOutKB:      sum["net_out_total_b"] / 1024,
+			DiskWriteKB:   sum["disk_write_total_b"] / 1024,
+		}
+		return nil
+	})
+	return res, err
 }

@@ -74,21 +74,21 @@ func perturbProgram(program string, frac float64) string {
 // provides the warm no-transfer measurement), fast polling.
 func stageRigOptions(opts Options, variant string) (Options, error) {
 	o := opts
-	o.SessionCache = true
-	o.StagingCache = true
+	o.App.SessionCache = true
+	o.App.StagingCache = true
 	// A tight poll keeps the cold-minus-warm subtraction from being
 	// quantised by poll-tick phase (the figures' 9 s default would put
 	// ±9 s of noise on an ~18 s measurement).
-	o.PollInterval = time.Second
+	o.App.PollInterval = time.Second
 	switch variant {
 	case "stock":
 	case "chunked":
-		o.ChunkedStaging = true
-		o.ChunkBytes = stageChunkBytes
+		o.App.ChunkedStaging = true
+		o.App.ChunkBytes = stageChunkBytes
 	case "chunked-gzip":
-		o.ChunkedStaging = true
-		o.ChunkBytes = stageChunkBytes
-		o.WireCompression = true
+		o.App.ChunkedStaging = true
+		o.App.ChunkBytes = stageChunkBytes
+		o.App.WireCompression = true
 	default:
 		return o, fmt.Errorf("experiments: unknown stage variant %q", variant)
 	}
@@ -138,16 +138,14 @@ func AblationStage(opts Options, fileKB int, variants ...string) (*AblationResul
 		if err != nil {
 			return nil, err
 		}
-		r, err := newRig(o)
-		if err != nil {
-			return nil, err
-		}
-		rows, err := stageColdRepublish(r, variant, program, programV2)
-		r.close()
+		err = withRig(o, func(r *rig) error {
+			rows, err := stageColdRepublish(r, variant, program, programV2)
+			res.Rows = append(res.Rows, rows...)
+			return err
+		})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: stage %s: %w", variant, err)
 		}
-		res.Rows = append(res.Rows, rows...)
 	}
 
 	// Derived speedups against the stock baseline, so "reduced in
@@ -195,13 +193,13 @@ func stageColdRepublish(r *rig, variant, program, programV2 string) ([]AblationR
 	// Prime the session cache with a separate tiny service so the cold
 	// leg of the real payload pays for staging, not for the MyProxy
 	// logon.
-	if err := r.uploadViaPortal("warmup.gsh", "compute 1s\necho ok\n"); err != nil {
+	if err := r.portal().upload("", "warmup.gsh", "compute 1s\necho ok\n"); err != nil {
 		return nil, err
 	}
-	if _, err := r.invokeGenerated("WarmupService", nil); err != nil {
+	if _, _, err := r.invokeGenerated("WarmupService", nil); err != nil {
 		return nil, fmt.Errorf("warm-up: %w", err)
 	}
-	if err := r.uploadViaPortal("stagejob.gsh", program); err != nil {
+	if err := r.portal().upload("", "stagejob.gsh", program); err != nil {
 		return nil, err
 	}
 	gzRatio := 0.0
@@ -231,7 +229,7 @@ func stageColdRepublish(r *rig, variant, program, programV2 string) ([]AblationR
 		return elapsed, wireB, stats, nil
 	}
 	invoke := func() error {
-		_, err := r.invokeGenerated("StagejobService", nil)
+		_, _, err := r.invokeGenerated("StagejobService", nil)
 		return err
 	}
 
@@ -254,7 +252,7 @@ func stageColdRepublish(r *rig, variant, program, programV2 string) ([]AblationR
 	if err := r.app.OnServe.DeleteService("StagejobService"); err != nil {
 		return nil, err
 	}
-	if err := r.uploadViaPortal("stagejob.gsh", programV2); err != nil {
+	if err := r.portal().upload("", "stagejob.gsh", programV2); err != nil {
 		return nil, err
 	}
 	_, repubWire, repubStats, err := leg(invoke)

@@ -2,11 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/gsh"
-	"repro/internal/wsclient"
 )
 
 // SubmitVariants lists the submission-side ablation variants: the
@@ -42,90 +40,66 @@ func AblationSubmit(opts Options, invocations int, variants ...string) (*Ablatio
 	}}
 	for _, variant := range variants {
 		o := opts
-		o.SessionCache = true
-		o.StagingCache = false
-		o.PollInterval = 3 * time.Second
+		o.App.SessionCache = true
+		o.App.StagingCache = false
+		o.App.PollInterval = 3 * time.Second
 		switch variant {
 		case "stock":
 		case "batched":
-			o.CoalesceStaging = true
-			o.SubmitHub = true
-			o.SubmitHubWindow = 2 * time.Second
-			o.StatsTTL = 10 * time.Second
+			o.App.CoalesceStaging = true
+			o.App.SubmitHub = true
+			o.App.SubmitHubWindow = 2 * time.Second
+			o.App.StatsTTL = 10 * time.Second
 		default:
 			return nil, fmt.Errorf("experiments: unknown submit variant %q", variant)
 		}
-		r, err := newRig(o)
+		err := withRig(o, func(r *rig) error {
+			// A padded executable makes each redundant WAN staging cost real
+			// virtual seconds (~2.3 s at the paper's ~85 KB/s uplink).
+			program := string(gsh.Pad([]byte("compute 1s\necho ok\n"), 192<<10))
+			proxy, err := r.publish("burstjob.gsh", program)
+			if err != nil {
+				return err
+			}
+			// Warm up the session cache with one sequential invocation: a
+			// simultaneous cold burst would stampede the session cache (every
+			// invocation missing at once and authenticating its own session),
+			// and the submit hub batches per session.
+			if _, _, err := invokeWait(proxy, nil); err != nil {
+				return fmt.Errorf("warm-up: %w", err)
+			}
+			before := r.app.OnServe.SubmitStats()
+			r.rec.Reset()
+			start := r.clock.Now()
+			err = parallel(invocations, 0, func(int) error {
+				_, _, err := invokeWait(proxy, nil)
+				return err
+			})
+			if err != nil {
+				return err
+			}
+			elapsed := r.clock.Now().Sub(start).Seconds()
+			stats := r.app.OnServe.SubmitStats()
+			stats.Uploads -= before.Uploads
+			stats.UploadsCoalesced -= before.UploadsCoalesced
+			stats.SubmitRPCs -= before.SubmitRPCs
+			stats.SubmitsBatched -= before.SubmitsBatched
+			stats.StatsRPCs -= before.StatsRPCs
+			stats.StatsCollapsed -= before.StatsCollapsed
+			res.Rows = append(res.Rows,
+				AblationRow{Study: "submit", Variant: variant, Metric: "makespan_s", Value: elapsed},
+				AblationRow{Study: "submit", Variant: variant, Metric: "uploads", Value: float64(stats.Uploads)},
+				AblationRow{Study: "submit", Variant: variant, Metric: "uploads_coalesced", Value: float64(stats.UploadsCoalesced)},
+				AblationRow{Study: "submit", Variant: variant, Metric: "submit_rpcs", Value: float64(stats.SubmitRPCs)},
+				AblationRow{Study: "submit", Variant: variant, Metric: "submits_batched", Value: float64(stats.SubmitsBatched)},
+				AblationRow{Study: "submit", Variant: variant, Metric: "stats_rpcs", Value: float64(stats.StatsRPCs)},
+				AblationRow{Study: "submit", Variant: variant, Metric: "stats_collapsed", Value: float64(stats.StatsCollapsed)},
+			)
+			return nil
+		})
 		if err != nil {
-			return nil, err
-		}
-		// A padded executable makes each redundant WAN staging cost real
-		// virtual seconds (~2.3 s at the paper's ~85 KB/s uplink).
-		program := string(gsh.Pad([]byte("compute 1s\necho ok\n"), 192<<10))
-		if err := r.uploadViaPortal("burstjob.gsh", program); err != nil {
-			r.close()
-			return nil, err
-		}
-		proxy, err := wsclient.ImportURL(r.app.BaseURL+"/services/BurstjobService", r.userHTTP)
-		if err != nil {
-			r.close()
-			return nil, err
-		}
-		// Warm up the session cache with one sequential invocation: a
-		// simultaneous cold burst would stampede the session cache (every
-		// invocation missing at once and authenticating its own session),
-		// and the submit hub batches per session.
-		ticket, err := proxy.Invoke("execute", nil)
-		if err == nil {
-			_, err = proxy.Invoke("wait", map[string]string{"ticket": ticket})
-		}
-		if err != nil {
-			r.close()
-			return nil, fmt.Errorf("experiments: submit %s warm-up: %w", variant, err)
-		}
-		before := r.app.OnServe.SubmitStats()
-		r.rec.Reset()
-		start := r.clock.Now()
-		var wg sync.WaitGroup
-		errs := make(chan error, invocations)
-		for i := 0; i < invocations; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				ticket, err := proxy.Invoke("execute", nil)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if _, err := proxy.Invoke("wait", map[string]string{"ticket": ticket}); err != nil {
-					errs <- err
-				}
-			}()
-		}
-		wg.Wait()
-		close(errs)
-		if err := <-errs; err != nil {
-			r.close()
 			return nil, fmt.Errorf("experiments: submit %s: %w", variant, err)
 		}
-		elapsed := r.clock.Now().Sub(start).Seconds()
-		stats := r.app.OnServe.SubmitStats()
-		stats.Uploads -= before.Uploads
-		stats.UploadsCoalesced -= before.UploadsCoalesced
-		stats.SubmitRPCs -= before.SubmitRPCs
-		stats.SubmitsBatched -= before.SubmitsBatched
-		stats.StatsRPCs -= before.StatsRPCs
-		stats.StatsCollapsed -= before.StatsCollapsed
-		res.Rows = append(res.Rows,
-			AblationRow{Study: "submit", Variant: variant, Metric: "makespan_s", Value: elapsed},
-			AblationRow{Study: "submit", Variant: variant, Metric: "uploads", Value: float64(stats.Uploads)},
-			AblationRow{Study: "submit", Variant: variant, Metric: "uploads_coalesced", Value: float64(stats.UploadsCoalesced)},
-			AblationRow{Study: "submit", Variant: variant, Metric: "submit_rpcs", Value: float64(stats.SubmitRPCs)},
-			AblationRow{Study: "submit", Variant: variant, Metric: "submits_batched", Value: float64(stats.SubmitsBatched)},
-			AblationRow{Study: "submit", Variant: variant, Metric: "stats_rpcs", Value: float64(stats.StatsRPCs)},
-			AblationRow{Study: "submit", Variant: variant, Metric: "stats_collapsed", Value: float64(stats.StatsCollapsed)},
-		)
-		r.close()
 	}
 	return res, nil
 }

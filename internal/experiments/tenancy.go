@@ -1,14 +1,11 @@
 package experiments
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-	"mime/multipart"
 	"net/http"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/tenant"
@@ -98,12 +95,12 @@ func AblationTenancy(opts Options, burst int) (*AblationResult, error) {
 // baseline the victim solo, fire the hog burst, probe through it, and
 // (tenancy on) audit the books.
 func tenancyRun(o Options, variant string, burst int, cfg *tenant.Config) ([]AblationRow, error) {
-	o.Tenancy = cfg
+	o.App.Tenancy = cfg
 	// The staging + session caches keep per-invocation overhead flat so
 	// the contended resource is the grid itself — identical in both
 	// variants, so the comparison isolates the control plane.
-	o.StagingCache = true
-	o.SessionCache = true
+	o.App.StagingCache = true
+	o.App.SessionCache = true
 	o.Tracing = cfg != nil // the on-variant verifies audit <-> trace linkage
 	r, err := newRig(o)
 	if err != nil {
@@ -115,15 +112,29 @@ func tenancyRun(o Options, variant string, burst int, cfg *tenant.Config) ([]Abl
 	if cfg != nil {
 		victimKey, hogKey = "victim-secret", "hog-secret"
 	}
-	if err := r.uploadWithKey("probejob.gsh", "compute 1s\necho ok\n", victimKey); err != nil {
+	p := r.portal()
+	if err := p.upload(victimKey, "probejob.gsh", "compute 1s\necho ok\n"); err != nil {
 		return nil, err
 	}
 	const service = "ProbejobService"
 
+	// probe times one victim invocation end to end in virtual ms.
+	probe := func(tag string) (ms float64, ticket string, err error) {
+		start := r.clock.Now()
+		ticket, status, err := p.invoke(victimKey, service, map[string]string{"x": tag})
+		if err == nil && status != http.StatusOK {
+			err = fmt.Errorf("status %d (the victim must always admit)", status)
+		}
+		if err == nil {
+			_, err = p.wait(ticket)
+		}
+		return float64(r.clock.Now().Sub(start).Milliseconds()), ticket, err
+	}
+
 	// Solo baseline: the victim's latency with nobody else on the box.
 	solo := make([]float64, 0, tenancyWarmup)
 	for i := 0; i < tenancyWarmup; i++ {
-		ms, err := r.probeOnce(service, victimKey, fmt.Sprintf("warm%d", i))
+		ms, _, err := probe(fmt.Sprintf("warm%d", i))
 		if err != nil {
 			return nil, fmt.Errorf("warmup probe %d: %w", i, err)
 		}
@@ -134,52 +145,37 @@ func tenancyRun(o Options, variant string, burst int, cfg *tenant.Config) ([]Abl
 
 	// Fire the burst; probe through it. The hog never waits for job
 	// completion — the jobs contend for the grid either way — so every
-	// burst goroutine is just one admission attempt.
-	var (
-		wg          sync.WaitGroup
-		hogAdmitted atomic.Uint64
-		hogDenied   atomic.Uint64
-	)
-	hogErrs := make(chan error, burst)
-	for i := 0; i < burst; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, status, err := r.invokeJSON(service, hogKey, map[string]string{"x": fmt.Sprintf("hog%d", i)})
+	// burst member is just one admission attempt.
+	var hogAdmitted, hogDenied atomic.Uint64
+	hogDone := make(chan error, 1)
+	go func() {
+		hogDone <- parallel(burst, 0, func(i int) error {
+			_, status, err := p.invoke(hogKey, service, map[string]string{"x": fmt.Sprintf("hog%d", i)})
 			switch {
 			case err != nil:
-				hogErrs <- err
+				return err
 			case status == http.StatusOK:
 				hogAdmitted.Add(1)
 			case status == http.StatusTooManyRequests:
 				hogDenied.Add(1)
 			default:
-				hogErrs <- fmt.Errorf("hog invoke %d: status %d", i, status)
+				return fmt.Errorf("hog invoke %d: status %d", i, status)
 			}
-		}()
-	}
+			return nil
+		})
+	}()
 
 	probes := make([]float64, 0, tenancyProbes)
 	var lastTicket string
 	for i := 0; i < tenancyProbes; i++ {
-		start := r.clock.Now()
-		ticket, status, err := r.invokeJSON(service, victimKey, map[string]string{"x": fmt.Sprintf("probe%d", i)})
+		ms, ticket, err := probe(fmt.Sprintf("probe%d", i))
 		if err != nil {
 			return nil, fmt.Errorf("victim probe %d: %w", i, err)
 		}
-		if status != http.StatusOK {
-			return nil, fmt.Errorf("victim probe %d: status %d (the victim must always admit)", i, status)
-		}
-		if err := r.waitTicket(ticket); err != nil {
-			return nil, fmt.Errorf("victim probe %d: %w", i, err)
-		}
-		probes = append(probes, float64(r.clock.Now().Sub(start).Milliseconds()))
+		probes = append(probes, ms)
 		lastTicket = ticket
 	}
-	wg.Wait()
-	close(hogErrs)
-	if err := <-hogErrs; err != nil {
+	if err := <-hogDone; err != nil {
 		return nil, err
 	}
 
@@ -283,100 +279,6 @@ func (r *rig) tenancyAuditRows(variant, sampleTicket string, wantOK, wantDenied 
 		row("audit_exactly_once", b2f(exactlyOnce)),
 		row("trace_resolvable", b2f(tracesOK && resolved)),
 	}, nil
-}
-
-// uploadWithKey posts the multipart upload form, stamping the tenant
-// key when the control plane is on.
-func (r *rig) uploadWithKey(fileName, program, key string) error {
-	var buf bytes.Buffer
-	mw := multipart.NewWriter(&buf)
-	fw, err := mw.CreateFormFile("file", fileName)
-	if err != nil {
-		return err
-	}
-	io.WriteString(fw, program)
-	mw.WriteField("user", "alice")
-	mw.WriteField("description", "tenancy ablation")
-	mw.Close()
-	req, err := http.NewRequest(http.MethodPost, r.app.BaseURL+"/upload", &buf)
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", mw.FormDataContentType())
-	if key != "" {
-		req.Header.Set(tenant.KeyHeader, key)
-	}
-	resp, err := r.userHTTP.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("upload failed (%d): %s", resp.StatusCode, body)
-	}
-	return nil
-}
-
-// invokeJSON drives one invocation through the portal's JSON API,
-// returning the HTTP status so callers can count 429 sheds without
-// treating them as errors.
-func (r *rig) invokeJSON(service, key string, args map[string]string) (string, int, error) {
-	payload, _ := json.Marshal(map[string]any{"service": service, "args": args})
-	req, err := http.NewRequest(http.MethodPost, r.app.BaseURL+"/api/invoke", bytes.NewReader(payload))
-	if err != nil {
-		return "", 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if key != "" {
-		req.Header.Set(tenant.KeyHeader, key)
-	}
-	resp, err := r.userHTTP.Do(req)
-	if err != nil {
-		return "", 0, err
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if resp.StatusCode != http.StatusOK {
-		return "", resp.StatusCode, nil
-	}
-	var inv struct {
-		Ticket string `json:"ticket"`
-	}
-	if err := json.Unmarshal(body, &inv); err != nil || inv.Ticket == "" {
-		return "", resp.StatusCode, fmt.Errorf("invoke reply %q: %v", body, err)
-	}
-	return inv.Ticket, resp.StatusCode, nil
-}
-
-// waitTicket blocks until the invocation reaches its terminal state.
-func (r *rig) waitTicket(ticket string) error {
-	resp, err := r.userHTTP.Get(r.app.BaseURL + "/api/wait?ticket=" + ticket)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("wait: status %d: %s", resp.StatusCode, body)
-	}
-	return nil
-}
-
-// probeOnce times one victim invocation end to end in virtual ms.
-func (r *rig) probeOnce(service, key, tag string) (float64, error) {
-	start := r.clock.Now()
-	ticket, status, err := r.invokeJSON(service, key, map[string]string{"x": tag})
-	if err != nil {
-		return 0, err
-	}
-	if status != http.StatusOK {
-		return 0, fmt.Errorf("probe invoke: status %d", status)
-	}
-	if err := r.waitTicket(ticket); err != nil {
-		return 0, err
-	}
-	return float64(r.clock.Now().Sub(start).Milliseconds()), nil
 }
 
 // pctile returns the p-th percentile (nearest-rank) of the samples.

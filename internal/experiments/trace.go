@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/gsh"
 	"repro/internal/trace"
-	"repro/internal/wsclient"
 )
 
 // TraceSpanSummary aggregates one span name within one scenario.
@@ -54,23 +53,6 @@ func (r *TraceResult) Render() string {
 		out += "note: " + n + "\n"
 	}
 	return out
-}
-
-// invokeTicketed is invokeGenerated, but returns the invocation ticket
-// so the caller can pull its trace afterwards.
-func (r *rig) invokeTicketed(serviceName string, args map[string]string) (string, error) {
-	proxy, err := wsclient.ImportURL(r.app.BaseURL+"/services/"+serviceName, r.userHTTP)
-	if err != nil {
-		return "", err
-	}
-	ticket, err := proxy.Invoke("execute", args)
-	if err != nil {
-		return "", err
-	}
-	if _, err := proxy.Invoke("wait", map[string]string{"ticket": ticket}); err != nil {
-		return "", err
-	}
-	return ticket, nil
 }
 
 // fetchTrace pulls the invocation's span tree through the portal's JSON
@@ -151,16 +133,16 @@ func TraceBreakdown(opts Options, largeBytes int) (*TraceResult, error) {
 		largeBytes = largeProgramSize
 	}
 	allKnobs := func(o Options) Options {
-		o.StagingCache = true
-		o.SessionCache = true
-		o.StatsTTL = 30 * time.Second
-		o.BlobCacheBytes = 64 << 20
-		o.GroupCommit = true
-		o.PollHub = true
-		o.CoalesceStaging = true
-		o.SubmitHub = true
-		o.ChunkedStaging = true
-		o.WireCompression = true
+		o.App.StagingCache = true
+		o.App.SessionCache = true
+		o.App.StatsTTL = 30 * time.Second
+		o.App.BlobCacheBytes = 64 << 20
+		o.App.GroupCommit = true
+		o.App.PollHub = true
+		o.App.CoalesceStaging = true
+		o.App.SubmitHub = true
+		o.App.ChunkedStaging = true
+		o.App.WireCompression = true
 		return o
 	}
 	largeProgram := string(gsh.Pad([]byte(smallProgram), largeBytes))
@@ -186,16 +168,11 @@ func TraceBreakdown(opts Options, largeBytes int) (*TraceResult, error) {
 	for _, sc := range scenarios {
 		o := sc.opts
 		o.Tracing = true
-		r, err := newRig(o)
-		if err != nil {
-			return nil, err
-		}
-		err = func() error {
-			defer r.close()
-			if err := r.uploadViaPortal("tracejob.gsh", sc.program, "tag"); err != nil {
+		err := withRig(o, func(r *rig) error {
+			if err := r.portal().upload("", "tracejob.gsh", sc.program, "tag"); err != nil {
 				return err
 			}
-			ticket, err := r.invokeTicketed("TracejobService", map[string]string{"tag": sc.name})
+			ticket, _, err := r.invokeGenerated("TracejobService", map[string]string{"tag": sc.name})
 			if err != nil {
 				return err
 			}
@@ -205,7 +182,7 @@ func TraceBreakdown(opts Options, largeBytes int) (*TraceResult, error) {
 			}
 			res.Rows = append(res.Rows, summarize(sc.name, ticket, spans))
 			return nil
-		}()
+		})
 		if err != nil {
 			return nil, fmt.Errorf("trace %s: %w", sc.name, err)
 		}

@@ -45,6 +45,14 @@ go test -race -count=1 ./internal/core ./internal/blobdb ./internal/cyberaide ./
 # tests fifty times.
 go test -count=50 -run 'Lifecycle|Coalesced|Watchdog|Trace' ./internal/core
 
+# Smoke the experiments CLI end to end: one CSV figure and one JSON
+# ablation through the real binary's write path (~10 s).
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+go run ./cmd/experiments -fig 6 -submit -out "$tmp" >/dev/null
+test -s "$tmp/fig6.csv"
+test -s "$tmp/submit.json"
+
 # Fuzzers run their seed corpora as regular tests, but exercise the
 # mutation engine briefly too: the admission edge parses attacker
 # bytes (the key header) and evaluates attacker patterns (policy
