@@ -98,3 +98,33 @@ func BenchmarkRecovery(b *testing.B) {
 		db.Close()
 	}
 }
+
+// BenchmarkBlobGetHit measures a decompressed-blob cache hit, the warm
+// invocation's db.fetch: with blobs served read-only it allocates the
+// record and its meta copy, not the blob.
+func BenchmarkBlobGetHit(b *testing.B) {
+	for _, size := range []int{64 << 10, 512 << 10} {
+		b.Run(fmt.Sprintf("%dKB", size>>10), func(b *testing.B) {
+			db, err := Open(Options{BlobCacheBytes: 4 << 20})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer db.Close()
+			tab := db.Table("bench")
+			if err := tab.Put("k", map[string]string{"owner": "alice"}, benchBlob(size)); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := tab.Get("k"); err != nil { // populate
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(size))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := tab.Get("k"); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -5,6 +5,11 @@
 // reproduction, because Fig. 6 attributes a CPU peak to "loading and
 // decompressing the file from the database".
 //
+// Stored bytes are immutable once written. Get and GetCompressed hand
+// out read-only views shared with the decompressed-blob cache and the
+// stored row rather than private copies, so an invocation that hits
+// the cache copies nothing; callers must never write to them.
+//
 // Durability follows the classic WAL + snapshot recipe: every mutation is
 // appended to a write-ahead log before it is applied, Compact folds the
 // state into a snapshot and truncates the log, and Open replays snapshot
@@ -78,8 +83,11 @@ var (
 
 // Record is a stored row, returned with the blob decompressed.
 type Record struct {
-	Key            string
-	Meta           map[string]string
+	Key  string
+	Meta map[string]string // the caller's own copy
+	// Blob is read-only: it is shared with the decompressed-blob cache
+	// and with every other Get of the same generation. Copy it before
+	// writing to it.
 	Blob           []byte
 	StoredAt       time.Time
 	CompressedSize int
@@ -396,29 +404,17 @@ func (t *Table) Put(key string, meta map[string]string, blob []byte) error {
 	db := t.db
 	// Compress outside the lock: CPU-bound.
 	db.probe.BurnFor(len(blob), db.cost.CompressBps)
-	var cbuf bytes.Buffer
-	// BestSpeed: the compression *cost model* lives in the probe burn
-	// above; the real gzip pass only needs to shrink the stored bytes,
-	// and keeping it cheap avoids polluting time-dilated experiment runs
-	// with real CPU time.
-	zw := gzipWriterPool.Get().(*gzip.Writer)
-	zw.Reset(&cbuf)
-	if _, err := zw.Write(blob); err != nil {
-		gzipWriterPool.Put(zw)
+	comp, err := compress(blob)
+	if err != nil {
 		return err
 	}
-	if err := zw.Close(); err != nil {
-		gzipWriterPool.Put(zw)
-		return err
-	}
-	gzipWriterPool.Put(zw)
 	metaCopy := make(map[string]string, len(meta))
 	for k, v := range meta {
 		metaCopy[k] = v
 	}
 	entry := &walEntry{
 		Op: "put", Table: t.name, Key: key, Meta: metaCopy,
-		Comp: cbuf.Bytes(), RawSize: len(blob), StoredAt: db.clock.Now(),
+		Comp: comp, RawSize: len(blob), StoredAt: db.clock.Now(),
 	}
 	s := db.shardFor(t.name, key)
 	if s.gc != nil {
@@ -436,8 +432,31 @@ func (t *Table) Put(key string, meta map[string]string, blob []byte) error {
 	return nil
 }
 
+// compress gzips blob through a pooled buffer and returns an exact-size
+// copy: the row keeps it for its lifetime, so it must not carry the
+// buffer's growth slack. BestSpeed: the compression *cost model* lives
+// in Put's probe burn; the real gzip pass only needs to shrink the
+// stored bytes, and keeping it cheap avoids polluting time-dilated
+// experiment runs with real CPU time.
+func compress(blob []byte) ([]byte, error) {
+	buf := walBufPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer walBufPool.Put(buf)
+	zw := gzipWriterPool.Get().(*gzip.Writer)
+	defer gzipWriterPool.Put(zw)
+	zw.Reset(buf)
+	if _, err := zw.Write(blob); err != nil {
+		return nil, err
+	}
+	if err := zw.Close(); err != nil {
+		return nil, err
+	}
+	return bytes.Clone(buf.Bytes()), nil
+}
+
 // Get returns the record with the blob decompressed. The disk read of the
-// compressed bytes and the decompression CPU are accounted.
+// compressed bytes and the decompression CPU are accounted. The
+// returned Record.Blob is read-only (see Record).
 func (t *Table) Get(key string) (*Record, error) {
 	db := t.db
 	s := db.shardFor(t.name, key)
@@ -472,13 +491,18 @@ func (t *Table) Get(key string) (*Record, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	out := bytes.NewBuffer(make([]byte, 0, r.rawSize))
+	// MinRead of headroom lets the final read see EOF without the
+	// buffer doubling.
+	out := bytes.NewBuffer(make([]byte, 0, r.rawSize+bytes.MinRead))
 	_, err = io.Copy(out, io.LimitReader(zr, MaxBlobBytes+1))
 	gzipReaderPool.Put(zr)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
+	// Capped at its length, so an append by any holder reallocates
+	// instead of writing into the shared array's headroom.
 	blob := out.Bytes()
+	blob = blob[:len(blob):len(blob)]
 	if db.cache != nil {
 		db.cache.put(cacheKey, r.gen, blob)
 	}
@@ -488,10 +512,13 @@ func (t *Table) Get(key string) (*Record, error) {
 	}, nil
 }
 
-// GetCompressed returns a copy of the record's stored gzip bytes and the
+// GetCompressed returns the record's stored gzip bytes and the
 // decompressed size, without inflating. Only the disk read of the
 // compressed bytes is accounted — this is the cheap path the
 // wire-compression staging mode uses to ship the stored stream as-is.
+// comp is a read-only view of the stored row, shared with every other
+// caller: it stays valid after the record is replaced or deleted, but
+// must never be written to.
 func (t *Table) GetCompressed(key string) (comp []byte, rawSize int, err error) {
 	s := t.db.shardFor(t.name, key)
 	s.mu.RLock()
@@ -505,9 +532,7 @@ func (t *Table) GetCompressed(key string) (comp []byte, rawSize int, err error) 
 		return nil, 0, fmt.Errorf("%w: %s/%s", ErrNotFound, t.name, key)
 	}
 	t.db.probe.DiskRead(len(r.comp))
-	comp = make([]byte, len(r.comp))
-	copy(comp, r.comp)
-	return comp, r.rawSize, nil
+	return r.comp[:len(r.comp):len(r.comp)], r.rawSize, nil
 }
 
 // BlobCacheStats reports the decompressed-blob LRU's counters; all zero
@@ -698,9 +723,9 @@ var fsyncDir = func(dir string) error {
 
 // --- codec pools ---
 
-// The gzip codecs and WAL encode buffers are pooled: Put/Get/log run on
-// the invocation hot path, and per-call allocation of a gzip state
-// machine (~1.4 MB for writers) dominated their profiles.
+// The gzip codecs and the compress/WAL encode buffers are pooled:
+// Put/Get/log run on the invocation hot path, and per-call allocation of
+// a gzip state machine (~1.4 MB for writers) dominated their profiles.
 var (
 	gzipWriterPool = sync.Pool{New: func() any {
 		w, _ := gzip.NewWriterLevel(io.Discard, gzip.BestSpeed)

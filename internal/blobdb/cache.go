@@ -8,9 +8,10 @@ import (
 // blobCache is the size-bounded LRU of decompressed blobs sitting in
 // front of Table.Get. Entries are keyed by table/key plus the row's
 // generation, so any Put or Delete naturally invalidates earlier cached
-// inflations — a stale generation never serves. The cache holds (and
-// hands out) private copies, so callers remain free to mutate
-// Record.Blob, exactly as they can on the decompress path.
+// inflations — a stale generation never serves. Cached blobs are
+// read-only and shared: put keeps the slice Get inflated and returned,
+// and every hit hands out that same backing array, so a repeat
+// invocation copies nothing (Record.Blob documents the contract).
 //
 // A hit skips the modelled disk read and decompress burn as well as the
 // real gzip inflate — the Fig. 6 "loading and decompressing the file
@@ -41,7 +42,8 @@ func newBlobCache(max int64) *blobCache {
 	}
 }
 
-// get returns a copy of the cached blob if the generation matches.
+// get returns the cached blob (shared, read-only) if the generation
+// matches.
 func (c *blobCache) get(key string, gen uint64) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -52,31 +54,26 @@ func (c *blobCache) get(key string, gen uint64) ([]byte, bool) {
 	}
 	c.hits++
 	c.ll.MoveToFront(el)
-	e := el.Value.(*cacheEntry)
-	out := make([]byte, len(e.blob))
-	copy(out, e.blob)
-	return out, true
+	return el.Value.(*cacheEntry).blob, true
 }
 
-// put stores a copy of blob under key/gen and evicts from the LRU tail
-// until the cache fits its budget. Blobs larger than the whole budget
-// are not cached.
+// put stores blob (shared, read-only from here on) under key/gen and
+// evicts from the LRU tail until the cache fits its budget. Blobs larger
+// than the whole budget are not cached.
 func (c *blobCache) put(key string, gen uint64, blob []byte) {
 	if int64(len(blob)) > c.max {
 		return
 	}
-	cp := make([]byte, len(blob))
-	copy(cp, blob)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		e := el.Value.(*cacheEntry)
-		c.size += int64(len(cp)) - int64(len(e.blob))
-		e.gen, e.blob = gen, cp
+		c.size += int64(len(blob)) - int64(len(e.blob))
+		e.gen, e.blob = gen, blob
 		c.ll.MoveToFront(el)
 	} else {
-		c.items[key] = c.ll.PushFront(&cacheEntry{key: key, gen: gen, blob: cp})
-		c.size += int64(len(cp))
+		c.items[key] = c.ll.PushFront(&cacheEntry{key: key, gen: gen, blob: blob})
+		c.size += int64(len(blob))
 	}
 	for c.size > c.max {
 		back := c.ll.Back()

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -65,22 +67,57 @@ func TestBlobCacheHitSkipsLoadAndDecompress(t *testing.T) {
 	}
 }
 
-func TestBlobCacheCopiesAreIsolated(t *testing.T) {
+// allocPerCall reports the bytes one call of f allocates, averaged over
+// n calls.
+func allocPerCall(n int, f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(n)
+}
+
+// Stored bytes are read-only and shared: a cache hit hands out the very
+// backing array the miss inflated into, and GetCompressed the stored
+// row's, so neither costs anything near a blob's size per call.
+func TestBlobCacheHitsShareReadOnlyBlob(t *testing.T) {
 	db, _ := cachedDB(t, 1<<20)
 	tab := db.Table("t")
-	if err := tab.Put("k", nil, []byte("pristine")); err != nil {
+	blob := make([]byte, 256<<10)
+	rand.New(rand.NewSource(1)).Read(blob)
+	if err := tab.Put("k", nil, blob); err != nil {
 		t.Fatal(err)
 	}
-	warm, _ := tab.Get("k") // populate
-	warm.Blob[0] = 'X'
+	miss, err := tab.Get("k")
+	if err != nil {
+		t.Fatal(err)
+	}
 	hit, err := tab.Get("k")
 	if err != nil {
 		t.Fatal(err)
 	}
-	hit.Blob[1] = 'Y'
-	again, _ := tab.Get("k")
-	if string(again.Blob) != "pristine" {
-		t.Fatalf("caller mutation leaked into the cache: %q", again.Blob)
+	if !bytes.Equal(hit.Blob, blob) {
+		t.Fatal("blob corrupted through the cache")
+	}
+	if &hit.Blob[0] != &miss.Blob[0] {
+		t.Fatal("cache hit returned a copy, not the cached backing array")
+	}
+	if per := allocPerCall(50, func() { tab.Get("k") }); per > uint64(len(blob))/16 {
+		t.Fatalf("cache hit allocates %d B for a %d B blob", per, len(blob))
+	}
+
+	c1, raw, err := tab.GetCompressed("k")
+	if err != nil || raw != len(blob) {
+		t.Fatalf("GetCompressed: raw=%d err=%v", raw, err)
+	}
+	c2, _, _ := tab.GetCompressed("k")
+	if &c1[0] != &c2[0] {
+		t.Fatal("GetCompressed returned a copy, not the stored row's bytes")
+	}
+	if per := allocPerCall(50, func() { tab.GetCompressed("k") }); per > uint64(len(c1))/16 {
+		t.Fatalf("GetCompressed allocates %d B for %d stored B", per, len(c1))
 	}
 }
 

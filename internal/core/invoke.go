@@ -246,7 +246,8 @@ func (o *OnServe) invoke(serviceName string, args map[string]string, root *trace
 	// File retrieval: "the lookup of the associated file in the database.
 	// It is loaded from the database and then stored in a temporary
 	// location." Loading decompresses (the first CPU peak of Fig. 6);
-	// the temporary spill is a disk write.
+	// the temporary spill is a disk write. rec.Blob is read-only, shared
+	// with the blob cache: the submit pipeline and staging only read it.
 	dbSp := o.cfg.Tracing.StartSpan("db.fetch", root.Context())
 	rec, err := o.cfg.DB.Table(ExecutablesTable).Get(serviceName)
 	if err != nil {

@@ -173,7 +173,8 @@ func (w *wireChunkSet) cut() ([]string, map[string]int, int64, bool) {
 // when wire compression is on and the stored record still matches blob
 // (a concurrent re-publish may have moved it). Shared by the staging
 // upload, the placement scorer and the replicator so all three agree on
-// what the wire would carry.
+// what the wire would carry. The slice is the stored row's own bytes
+// (blobdb hands them out read-only), so all three only ever read it.
 func (o *OnServe) storedGzip(serviceName string, blob []byte) []byte {
 	if !o.cfg.WireCompression {
 		return nil

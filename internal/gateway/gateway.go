@@ -111,9 +111,17 @@ func (cfg *Config) fill() {
 	}
 }
 
-// maxBody bounds one buffered request body: the portal's upload cap
-// plus envelope slack.
-const maxBody = portal.MaxUploadBytes + (1 << 20)
+// maxBody bounds one buffered request body: the portal's request cap.
+const maxBody = portal.MaxRequestBytes
+
+// bodyErrStatus answers an oversized body or upload with the portal's
+// 413 and anything else unreadable or undecodable with 400.
+func bodyErrStatus(err error) int {
+	if errors.Is(err, portal.ErrTooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
 
 // catalogEntry is one proxied upload, kept verbatim so the gateway can
 // replay it onto a ring successor (failover) or a rejoined shard.
@@ -531,16 +539,20 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	var body []byte
 	if r.Body != nil && r.Method != http.MethodGet && r.Method != http.MethodHead {
+		// Over the cap is the portal's 413, never a truncated forward.
+		if r.ContentLength > maxBody {
+			jsonError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("gateway: request of %d bytes: %w", r.ContentLength, portal.ErrTooLarge))
+			return
+		}
 		var err error
-		body, err = io.ReadAll(io.LimitReader(r.Body, maxBody))
-		if err != nil {
-			jsonError(w, http.StatusBadRequest, fmt.Errorf("gateway: read body: %w", err))
+		if body, err = portal.ReadBody(r.Body, r.ContentLength, maxBody); err != nil {
+			jsonError(w, bodyErrStatus(err), fmt.Errorf("gateway: read body: %w", err))
 			return
 		}
 	}
 	rt, err := DecodeRoute(r.Method, r.URL.Path, r.URL.RawQuery, r.Header.Get("Content-Type"), body)
 	if err != nil {
-		jsonError(w, http.StatusBadRequest, err)
+		jsonError(w, bodyErrStatus(err), err)
 		return
 	}
 	switch rt.Kind {
@@ -686,11 +698,18 @@ func (g *Gateway) learn(rt Route, m *member, body []byte, contentType string, re
 			m.ticketHints.Add(1)
 		}
 	case KindUpload:
+		// The catalog keeps the request buffer itself: ServeHTTP sized it
+		// from the declared length, and nothing writes to it after the
+		// read. Only a body of undeclared length, grown by doubling, is
+		// trimmed so the catalog never pins the slack.
+		if cap(body) > len(body)+1 {
+			body = bytes.Clone(body)
+		}
 		e := &catalogEntry{
 			service:     rt.Service,
 			owner:       rt.Owner,
 			contentType: contentType,
-			body:        append([]byte(nil), body...),
+			body:        body,
 		}
 		g.mu.Lock()
 		g.catalog[rt.Service] = e

@@ -30,7 +30,7 @@ type fleetWorld struct {
 // bootFleet boots one simulated grid plus a gateway fronting n
 // appliances. The probe/pull cadences are on the scaled clock, chosen so
 // the prober stays active without busy-looping at 20000x.
-func bootFleet(t *testing.T, n int, mutate func(*Config)) *fleetWorld {
+func bootFleet(t testing.TB, n int, mutate func(*Config)) *fleetWorld {
 	t.Helper()
 	clk := vtime.NewScaled(20000)
 	env, err := gridenv.Start(gridenv.Options{

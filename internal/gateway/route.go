@@ -5,14 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"mime"
-	"mime/multipart"
 	"net/http"
 	"net/url"
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/portal"
 )
 
 // Kind classifies how the gateway dispatches one portal request.
@@ -122,7 +120,7 @@ func DecodeRoute(method, path, rawQuery, contentType string, body []byte) (Route
 		if method != http.MethodPost {
 			return Route{Kind: KindAny}, nil // the portal answers 405
 		}
-		return decodeUpload(contentType, body)
+		return decodeUpload(contentType, rawQuery, body)
 	case "/api/invoke":
 		if method != http.MethodPost {
 			return Route{Kind: KindAny}, nil
@@ -175,41 +173,23 @@ func DecodeRoute(method, path, rawQuery, contentType string, body []byte) (Route
 }
 
 // decodeUpload extracts the upload's routing identity — the service name
-// the portal will derive from the file name, and the owner — by walking
-// the multipart body exactly as the portal's ParseMultipartForm will.
-func decodeUpload(contentType string, body []byte) (Route, error) {
-	mediaType, params, err := mime.ParseMediaType(contentType)
-	if err != nil || !strings.HasPrefix(mediaType, "multipart/") || params["boundary"] == "" {
-		return Route{}, fmt.Errorf("%w: upload content type %q", errBadRequest, contentType)
+// the portal will derive from the file name, and the owner — with the
+// portal's own form walker (file bytes counted, not kept), so routing
+// and publishing can never disagree about either. An oversized file is
+// the portal's ErrTooLarge; every other failure is the gateway's 400.
+func decodeUpload(contentType, rawQuery string, body []byte) (Route, error) {
+	form, err := portal.ReadUploadForm(contentType, rawQuery, bytes.NewReader(body), int64(len(body)), false)
+	if errors.Is(err, portal.ErrTooLarge) {
+		return Route{}, err
 	}
-	mr := multipart.NewReader(bytes.NewReader(body), params["boundary"])
-	var service, owner string
-	for {
-		part, err := mr.NextPart()
-		if err != nil {
-			break // io.EOF or malformed tail: judge by what we saw
-		}
-		switch part.FormName() {
-		case "file":
-			if service == "" && part.FileName() != "" {
-				name, err := core.ServiceNameFor(part.FileName())
-				if err != nil {
-					part.Close()
-					return Route{}, fmt.Errorf("%w: %v", errBadRequest, err)
-				}
-				service = name
-			}
-		case "user":
-			if b, err := io.ReadAll(io.LimitReader(part, 4096)); err == nil {
-				owner = string(b)
-			}
-		}
-		part.Close()
+	if err != nil {
+		return Route{}, fmt.Errorf("%w: %v", errBadRequest, err)
 	}
-	if service == "" {
-		return Route{}, fmt.Errorf("%w: upload carries no file", errBadRequest)
+	service, err := core.ServiceNameFor(form.Filename)
+	if err != nil {
+		return Route{}, fmt.Errorf("%w: %v", errBadRequest, err)
 	}
-	return Route{Kind: KindUpload, Service: service, Owner: owner}, nil
+	return Route{Kind: KindUpload, Service: service, Owner: form.Value("user")}, nil
 }
 
 // queryValue parses rawQuery and returns key's value; a query string

@@ -34,6 +34,9 @@ func TestDecodeRouteTable(t *testing.T) {
 	}{
 		{"upload", "POST", "/upload", "", uploadCT, uploadBody,
 			Route{Kind: KindUpload, Service: "MonteService", Owner: "alice"}, false},
+		{"upload query owner wins, as in the portal", "POST", "/upload", "user=bob", uploadCT, uploadBody,
+			Route{Kind: KindUpload, Service: "MonteService", Owner: "bob"}, false},
+		{"upload truncated form", "POST", "/upload", "", uploadCT, uploadBody[:len(uploadBody)-8], Route{}, true},
 		{"upload GET passes through", "GET", "/upload", "", "", nil, Route{Kind: KindAny}, false},
 		{"upload bad content type", "POST", "/upload", "", "text/plain", nil, Route{}, true},
 		{"upload bad filename", "POST", "/upload", "", func() string {

@@ -126,34 +126,29 @@ func (p *Portal) upload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	p.probe.Burn(p.cost.RequestHandling)
-	if err := r.ParseMultipartForm(32 << 20); err != nil {
-		jsonError(w, http.StatusBadRequest, fmt.Errorf("portal: parse form: %w", err))
+	if r.ContentLength > MaxRequestBytes {
+		jsonError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("portal: request of %d bytes: %w", r.ContentLength, ErrTooLarge))
 		return
 	}
-	file, hdr, err := r.FormFile("file")
+	form, err := ReadUploadForm(r.Header.Get("Content-Type"), r.URL.RawQuery, r.Body, r.ContentLength, true)
 	if err != nil {
-		jsonError(w, http.StatusBadRequest, fmt.Errorf("portal: missing file: %w", err))
+		status := http.StatusBadRequest
+		if errors.Is(err, ErrTooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		jsonError(w, status, err)
 		return
 	}
-	defer file.Close()
-	content, err := io.ReadAll(io.LimitReader(file, MaxUploadBytes+1))
-	if err != nil {
-		jsonError(w, http.StatusBadRequest, err)
-		return
-	}
-	if len(content) > MaxUploadBytes {
-		jsonError(w, http.StatusRequestEntityTooLarge, errors.New("portal: file too large"))
-		return
-	}
+	content := form.File
 	// Reception CPU (Fig. 8): proportional to the upload size.
 	p.probe.BurnFor(len(content), p.cost.ReceiveBps)
 
-	user := r.FormValue("user")
-	description := r.FormValue("description")
+	user := form.Value("user")
+	description := form.Value("description")
 	var params []wsdl.ParamDef
 	for i := 1; ; i++ {
-		name := strings.TrimSpace(r.FormValue("paramName" + strconv.Itoa(i)))
-		typ := strings.TrimSpace(r.FormValue("paramType" + strconv.Itoa(i)))
+		name := strings.TrimSpace(form.Value("paramName" + strconv.Itoa(i)))
+		typ := strings.TrimSpace(form.Value("paramType" + strconv.Itoa(i)))
 		if name == "" && typ == "" {
 			if i > 3 { // the form always posts three rows; APIs may post more
 				break
@@ -176,15 +171,15 @@ func (p *Portal) upload(w http.ResponseWriter, r *http.Request) {
 	// pure function of the filename, so evaluate it pre-admission. A
 	// name the core would reject is admitted under the raw filename and
 	// fails downstream exactly as it would without tenancy.
-	svcName := hdr.Filename
-	if n, err := core.ServiceNameFor(hdr.Filename); err == nil {
+	svcName := form.Filename
+	if n, err := core.ServiceNameFor(form.Filename); err == nil {
 		svcName = n
 	}
 	adm, ok := p.admit(w, pr, tenant.VerbUpload, svcName, tc)
 	if !ok {
 		return
 	}
-	rec, err := p.onserve.UploadAndGenerateCtx(user, hdr.Filename, description, params, content, adm.ParentFor(tc))
+	rec, err := p.onserve.UploadAndGenerateCtx(user, form.Filename, description, params, content, adm.ParentFor(tc))
 	if err != nil {
 		adm.Finish("", err)
 		jsonError(w, statusFor(err), err)
@@ -192,7 +187,7 @@ func (p *Portal) upload(w http.ResponseWriter, r *http.Request) {
 	}
 	// Optional comma-separated stage-in declaration: input files the
 	// owner stages to the Grid out of band.
-	if stageIn := strings.TrimSpace(r.FormValue("stageIn")); stageIn != "" {
+	if stageIn := strings.TrimSpace(form.Value("stageIn")); stageIn != "" {
 		var files []string
 		for _, f := range strings.Split(stageIn, ",") {
 			if f = strings.TrimSpace(f); f != "" {

@@ -35,13 +35,13 @@ type fixture struct {
 // newFixture wires a portal over a real onServe + grid; unlike the
 // appliance tests, the SOAP container is mounted on the same mux so the
 // generated endpoints in WSDL documents resolve.
-func newFixture(t *testing.T) *fixture {
+func newFixture(t testing.TB) *fixture {
 	return newTracedFixture(t, nil)
 }
 
 // newTracedFixture is newFixture with an optional shared span collector
 // wired through the grid environment and the core.
-func newTracedFixture(t *testing.T, col *trace.Collector) *fixture {
+func newTracedFixture(t testing.TB, col *trace.Collector) *fixture {
 	t.Helper()
 	clk := vtime.NewScaled(20000)
 	env, err := gridenv.Start(gridenv.Options{

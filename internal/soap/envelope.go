@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"unicode/utf8"
 )
 
 // encBufPool recycles envelope build buffers: every SOAP request and
@@ -35,6 +36,7 @@ const EnvelopeNS = "http://schemas.xmlsoap.org/soap/envelope/"
 var (
 	ErrNotSOAP     = errors.New("soap: request is not a SOAP envelope")
 	ErrNoOperation = errors.New("soap: body carries no operation element")
+	ErrBadChar     = errors.New("soap: value holds a character XML cannot carry")
 )
 
 // Fault is the SOAP 1.1 fault structure.
@@ -91,7 +93,11 @@ func (m *Message) ParamMap() map[string]string {
 	return out
 }
 
-// Encode renders the message as a SOAP envelope.
+// Encode renders the message as a SOAP envelope. A header or param
+// value holding invalid UTF-8 or a character outside XML 1.0's Char
+// production cannot round-trip through any XML parser, so Encode
+// refuses it with ErrBadChar naming the element rather than sending a
+// U+FFFD in its place.
 func Encode(m *Message) ([]byte, error) {
 	buf := encBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
@@ -106,6 +112,9 @@ func Encode(m *Message) ([]byte, error) {
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
+			if !isXMLText(m.Headers[k]) {
+				return nil, fmt.Errorf("%w: header %q", ErrBadChar, k)
+			}
 			writeElem(buf, k, m.Headers[k])
 		}
 		buf.WriteString(`</soapenv:Header>`)
@@ -113,6 +122,9 @@ func Encode(m *Message) ([]byte, error) {
 	buf.WriteString(`<soapenv:Body>`)
 	buf.WriteString(`<ns:` + m.Operation + ` xmlns:ns="` + m.Namespace + `">`)
 	for _, p := range m.Params {
+		if !isXMLText(p.Value) {
+			return nil, fmt.Errorf("%w: param %q", ErrBadChar, p.Name)
+		}
 		writeElem(buf, p.Name, p.Value)
 	}
 	buf.WriteString(`</ns:` + m.Operation + `>`)
@@ -120,7 +132,9 @@ func Encode(m *Message) ([]byte, error) {
 	return append([]byte(nil), buf.Bytes()...), nil
 }
 
-// EncodeFault renders a fault envelope.
+// EncodeFault renders a fault envelope. Unlike Encode it never fails:
+// characters XML cannot carry become U+FFFD, so a fault always reaches
+// the client.
 func EncodeFault(f *Fault) []byte {
 	buf := encBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
@@ -138,6 +152,27 @@ func EncodeFault(f *Fault) []byte {
 	}
 	buf.WriteString(`</soapenv:Fault></soapenv:Body></soapenv:Envelope>`)
 	return append([]byte(nil), buf.Bytes()...)
+}
+
+// isXMLText reports whether s is valid UTF-8 made only of characters in
+// XML 1.0's Char production: #x9 | #xA | #xD | [#x20-#xD7FF] |
+// [#xE000-#xFFFD] | [#x10000-#x10FFFF].
+func isXMLText(s string) bool {
+	for i := 0; i < len(s); {
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			return false
+		case r == '\t' || r == '\n' || r == '\r',
+			r >= 0x20 && r <= 0xD7FF,
+			r >= 0xE000 && r <= 0xFFFD,
+			r >= 0x10000 && r <= 0x10FFFF:
+		default:
+			return false
+		}
+		i += size
+	}
+	return true
 }
 
 func writeElem(buf *bytes.Buffer, name, value string) {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/metrics"
 	"repro/internal/vtime"
@@ -293,43 +294,138 @@ func TestServerAccountsRequestHandlingCost(t *testing.T) {
 	}
 }
 
-// Property: Encode/Decode round-trips arbitrary parameter values,
-// including XML metacharacters and control-adjacent text.
+// xmlChar is the test's own statement of XML 1.0's Char production.
+func xmlChar(r rune) bool {
+	return r == 0x9 || r == 0xA || r == 0xD ||
+		(0x20 <= r && r <= 0xD7FF) || (0xE000 <= r && r <= 0xFFFD) || (0x10000 <= r && r <= 0x10FFFF)
+}
+
+// xmlCarriable reports whether s can ride in XML character data.
+func xmlCarriable(s string) bool {
+	return utf8.ValidString(s) && strings.IndexFunc(s, func(r rune) bool { return !xmlChar(r) }) < 0
+}
+
+// checkEncode asserts the Encode contract for one message: it fails
+// exactly when some header or param value holds a character XML cannot
+// carry, naming that element, and otherwise Decode gives every value
+// back exactly.
+func checkEncode(msg *Message) error {
+	carriable := true
+	for _, v := range msg.Headers {
+		carriable = carriable && xmlCarriable(v)
+	}
+	for _, p := range msg.Params {
+		carriable = carriable && xmlCarriable(p.Value)
+	}
+	env, err := Encode(msg)
+	if !carriable {
+		if !errors.Is(err, ErrBadChar) {
+			return fmt.Errorf("non-XML value encoded: err=%v", err)
+		}
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("XML-legal values rejected: %v", err)
+	}
+	got, err := Decode(env)
+	if err != nil {
+		return err
+	}
+	if len(got.Params) != len(msg.Params) || len(got.Headers) != len(msg.Headers) {
+		return fmt.Errorf("decoded %d params, %d headers; want %d, %d", len(got.Params), len(got.Headers), len(msg.Params), len(msg.Headers))
+	}
+	for i := range msg.Params {
+		// xml.EscapeText writes \t, \r and \n as character references,
+		// so values round-trip exactly.
+		if got.Params[i].Value != msg.Params[i].Value {
+			return fmt.Errorf("param %d: got %q want %q", i, got.Params[i].Value, msg.Params[i].Value)
+		}
+	}
+	for k, v := range msg.Headers {
+		if got.Headers[k] != v {
+			return fmt.Errorf("header %s: got %q want %q", k, got.Headers[k], v)
+		}
+	}
+	return nil
+}
+
+// Property: Encode either refuses a value XML cannot carry or
+// round-trips every value exactly — arbitrary strings, unfiltered.
 func TestPropertyEnvelopeRoundTrip(t *testing.T) {
-	f := func(vals []string) bool {
-		msg := &Message{Namespace: "urn:p", Operation: "op"}
+	f := func(vals []string, header string) bool {
+		msg := &Message{Namespace: "urn:p", Operation: "op", Headers: map[string]string{"H": header}}
 		for i, v := range vals {
-			// XML cannot carry arbitrary control bytes; strip them as any
-			// transport binding would.
-			clean := strings.Map(func(r rune) rune {
-				if r < 0x20 && r != '\t' && r != '\n' && r != '\r' {
-					return -1
-				}
-				return r
-			}, v)
-			msg.Params = append(msg.Params, Param{Name: fmt.Sprintf("p%d", i), Value: clean})
+			msg.Params = append(msg.Params, Param{Name: fmt.Sprintf("p%d", i), Value: v})
 		}
-		env, err := Encode(msg)
-		if err != nil {
+		if err := checkEncode(msg); err != nil {
+			t.Log(err)
 			return false
-		}
-		got, err := Decode(env)
-		if err != nil {
-			return false
-		}
-		if len(got.Params) != len(msg.Params) {
-			return false
-		}
-		for i := range msg.Params {
-			// xml.EscapeText writes \r and \n as character references, so
-			// values round-trip exactly.
-			if got.Params[i].Value != msg.Params[i].Value {
-				return false
-			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestEncodeRejectsNonXMLCharacters(t *testing.T) {
+	cases := []struct {
+		name, value string
+		ok          bool
+	}{
+		{"U+FFFE", "a\uFFFEb", false},
+		{"U+FFFF", "\uFFFF", false},
+		{"NUL", "x\x00y", false},
+		{"escape", "\x1b[0m", false},
+		{"invalid UTF-8", "\xff\xfe", false},
+		{"lone surrogate bytes", "\xed\xa0\x80", false},
+		{"tab CR LF", "a\tb\r\nc\r", true},
+		{"U+FFFD itself", "\uFFFD", true},
+		{"astral", "\U0001F600\U0010FFFF", true},
+		{"metacharacters", `<a href="x">&amp;</a>`, true},
+	}
+	for _, c := range cases {
+		for _, where := range []string{"param", "header"} {
+			msg := &Message{Namespace: "urn:p", Operation: "op"}
+			if where == "param" {
+				msg.Params = []Param{{Name: "ok", Value: "fine"}, {Name: "v", Value: c.value}}
+			} else {
+				msg.Headers = map[string]string{"Token": c.value}
+			}
+			if err := checkEncode(msg); err != nil {
+				t.Fatalf("%s in %s: %v", c.name, where, err)
+			}
+			_, err := Encode(msg)
+			if c.ok != (err == nil) {
+				t.Fatalf("%s in %s: err=%v, want ok=%v", c.name, where, err, c.ok)
+			}
+			if err != nil {
+				want := map[string]string{"param": `param "v"`, "header": `header "Token"`}[where]
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("%s: error %q does not name %s", c.name, err, want)
+				}
+			}
+		}
+	}
+	// EncodeFault never fails: it still replaces.
+	if env := EncodeFault(&Fault{Code: FaultServer, String: "bad\x00byte"}); !strings.Contains(string(env), "bad\uFFFDbyte") {
+		t.Fatalf("fault envelope %q", env)
+	}
+}
+
+// A handler result XML cannot carry becomes the container's Server
+// fault, never a silently altered response.
+func TestServerFaultsOnNonXMLResult(t *testing.T) {
+	srv, hs := newContainer(t)
+	svc := NewService(wsdl.ServiceDef{Name: "Raw", Namespace: "urn:raw", Operations: []wsdl.OperationDef{{Name: "dump"}}})
+	svc.MustBind("dump", func(*Request) (string, error) { return "binary\x00output", nil })
+	if err := srv.Deploy(svc); err != nil {
+		t.Fatal(err)
+	}
+	var c Client
+	_, err := c.Call(hs.URL+"/services/Raw", "urn:raw", "dump", nil, nil)
+	var f *Fault
+	if !errors.As(err, &f) || f.Code != FaultServer || !strings.Contains(f.String, `param "return"`) {
+		t.Fatalf("got %v", err)
 	}
 }

@@ -56,6 +56,8 @@ test -s "$tmp/submit.json"
 # Fuzzers run their seed corpora as regular tests, but exercise the
 # mutation engine briefly too: the admission edge parses attacker
 # bytes (the key header) and evaluates attacker patterns (policy
-# globs), so both must never panic.
+# globs), and the upload form walker parses attacker bodies and must
+# agree with the stdlib multipart parse, so none may ever panic.
 go test -run='^$' -fuzz=FuzzKeyHeader -fuzztime=5s ./internal/tenant
 go test -run='^$' -fuzz=FuzzPolicyMatch -fuzztime=5s ./internal/tenant
+go test -run='^$' -fuzz=FuzzUploadForm -fuzztime=5s ./internal/portal
