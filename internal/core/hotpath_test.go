@@ -50,6 +50,39 @@ func TestStockAuthenticatesPerInvocation(t *testing.T) {
 	}
 }
 
+// Without the session cache every invocation logs on; pruning a
+// terminal invocation past the retention cap logs its session out, so
+// the agent's table stays as small as the ticket map.
+func TestStockLogsOutPrunedSessions(t *testing.T) {
+	f := newFixture(t, func(cfg *Config) { cfg.InvocationRetention = 2 })
+	f.uploadDemo(t)
+	for i := 0; i < 5; i++ {
+		if _, err := f.ons.ExecuteAndWait("MontecarloService", map[string]string{"digits": "1"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, func() bool { return f.cfg.Agent.SessionCount() == 2 })
+}
+
+// A stock invocation that fails before it has a ticket logs its own
+// session out: nothing else will ever use it.
+func TestStockFailedInvocationLogsOut(t *testing.T) {
+	f := newFixture(t, nil)
+	if _, err := f.ons.UploadAndGenerate("alice", "wordcount.gsh", "counts words", nil,
+		[]byte("process corpus.txt 1000\necho counted\n")); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.ons.SetStageIn("WordcountService", []string{"corpus.txt"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.ons.Invoke("WordcountService", nil); err == nil {
+		t.Fatal("invocation without its stage-in data succeeded")
+	}
+	if n := f.cfg.Agent.SessionCount(); n != 0 {
+		t.Fatalf("failed invocation left %d sessions", n)
+	}
+}
+
 func TestGridSessionExpiryReauthenticates(t *testing.T) {
 	f := newFixture(t, func(cfg *Config) { cfg.SessionCache = true })
 	auth := UserAuth{MyProxyUser: "alice", Passphrase: "pw"}

@@ -287,6 +287,9 @@ func (o *OnServe) invoke(serviceName string, args map[string]string, root *trace
 		site, jobID, err = o.submitPipeline(sessID, serviceName, info, args, rec.Blob, root.Context())
 	}
 	if err != nil {
+		if !o.cfg.SessionCache {
+			o.cfg.Agent.Logout(sessID) // no invocation will ever use it
+		}
 		return nil, err
 	}
 
@@ -767,19 +770,18 @@ func (o *OnServe) waitLongPoll(inv *Invocation) {
 // noteTerminal records a newly terminal invocation and prunes the
 // oldest terminal tickets beyond the retention cap, so sustained traffic
 // cannot grow the ticket map without bound. Pruned invocations stay in
-// Monitoring through the retained tallies.
+// Monitoring through the retained tallies. Without the session cache
+// each invocation logged on for itself, and nothing can reach a pruned
+// invocation's session any more, so it is logged out with it.
 func (o *OnServe) noteTerminal(inv *Invocation) {
 	retain := o.cfg.InvocationRetention
 	if retain == 0 {
 		retain = DefaultInvocationRetention
 	}
+	var logout []string
 	o.mu.Lock()
-	defer o.mu.Unlock()
 	o.termOrder = append(o.termOrder, inv.Ticket)
-	if retain < 0 {
-		return
-	}
-	for len(o.termOrder) > retain {
+	for retain >= 0 && len(o.termOrder) > retain {
 		oldest := o.termOrder[0]
 		o.termOrder = o.termOrder[1:]
 		old, ok := o.invocations[oldest]
@@ -788,6 +790,13 @@ func (o *OnServe) noteTerminal(inv *Invocation) {
 		}
 		o.termTallies[old.State()]++
 		delete(o.invocations, oldest)
+		if !o.cfg.SessionCache {
+			logout = append(logout, old.sessionID)
+		}
+	}
+	o.mu.Unlock()
+	for _, id := range logout {
+		o.cfg.Agent.Logout(id)
 	}
 }
 

@@ -85,6 +85,9 @@ type Agent struct {
 type sessionTable struct {
 	mu       sync.Mutex
 	sessions map[string]*Session
+	// soonest is the earliest proxy expiry in the table as of the last
+	// sweep or logon; until the clock passes it there is nothing to sweep.
+	soonest time.Time
 }
 
 // Options configures New.
@@ -177,21 +180,62 @@ func (a *Agent) Authenticate(user, passphrase string, lifetime time.Duration) (*
 	for site, url := range a.endpoints.FTPURLs {
 		sess.ftps[site] = &gridftp.Client{BaseURL: url, Cred: proxy, HTTP: a.http}
 	}
-	a.state.mu.Lock()
-	a.state.sessions[sess.ID] = sess
-	a.state.mu.Unlock()
+	a.state.add(sess, a.clock.Now())
 	return sess, nil
 }
 
-// Session resolves a session ID, rejecting expired proxies.
+// add registers a new session and, once some proxy in the table has
+// expired, sweeps out every expired session, so a caller that never
+// logs out cannot grow the table without bound.
+func (t *sessionTable) add(sess *Session, now time.Time) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if now.After(t.soonest) {
+		t.soonest = sess.notAfter()
+		for id, old := range t.sessions {
+			if old.expired(now) {
+				delete(t.sessions, id)
+			} else {
+				t.soonest = minTime(t.soonest, old.notAfter())
+			}
+		}
+	} else {
+		t.soonest = minTime(t.soonest, sess.notAfter())
+	}
+	t.sessions[sess.ID] = sess
+}
+
+func minTime(a, b time.Time) time.Time {
+	if b.Before(a) {
+		return b
+	}
+	return a
+}
+
+// notAfter is when the session's proxy expires (zero for an empty one).
+func (s *Session) notAfter() time.Time {
+	if leaf := s.proxy.Leaf(); leaf != nil {
+		return leaf.NotAfter
+	}
+	return time.Time{}
+}
+
+func (s *Session) expired(now time.Time) bool {
+	leaf := s.proxy.Leaf()
+	return leaf == nil || !leaf.ValidAt(now)
+}
+
+// Session resolves a session ID, rejecting (and discarding) expired
+// proxies.
 func (a *Agent) Session(id string) (*Session, error) {
 	a.state.mu.Lock()
+	defer a.state.mu.Unlock()
 	sess, ok := a.state.sessions[id]
-	a.state.mu.Unlock()
 	if !ok {
 		return nil, ErrNoSession
 	}
-	if leaf := sess.proxy.Leaf(); leaf == nil || !leaf.ValidAt(a.clock.Now()) {
+	if sess.expired(a.clock.Now()) {
+		delete(a.state.sessions, id)
 		return nil, ErrExpired
 	}
 	return sess, nil

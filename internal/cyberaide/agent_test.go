@@ -192,6 +192,41 @@ func TestSessionExpires(t *testing.T) {
 	}
 }
 
+func TestExpiredSessionsDiscarded(t *testing.T) {
+	w := newWorld(t)
+	stale, err := w.agent.Authenticate("alice", "pw", time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(5 * time.Millisecond)
+	// The next logon sweeps the expired session out of the table.
+	fresh, err := w.agent.Authenticate("alice", "pw", time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := w.agent.SessionCount(); n != 1 {
+		t.Fatalf("%d sessions after the next logon, want 1", n)
+	}
+	if _, err := w.agent.Session(stale.ID); !errors.Is(err, ErrNoSession) {
+		t.Fatalf("swept session: %v", err)
+	}
+	// Resolving an expired session discards it too.
+	short, err := w.agent.Authenticate("alice", "pw", time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(5 * time.Millisecond)
+	if _, err := w.agent.Session(short.ID); !errors.Is(err, ErrExpired) {
+		t.Fatalf("got %v", err)
+	}
+	if _, err := w.agent.Session(short.ID); !errors.Is(err, ErrNoSession) {
+		t.Fatalf("expired session kept: %v", err)
+	}
+	if _, err := w.agent.Session(fresh.ID); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestUploadUnknownSite(t *testing.T) {
 	w := newWorld(t)
 	sess, _ := w.agent.Authenticate("alice", "pw", time.Hour)

@@ -112,11 +112,7 @@ func (s *Server) authenticate(r *http.Request, msg []byte) (string, error) {
 	if tok == "" {
 		return "", fmt.Errorf("%w: missing %s", ErrDenied, TokenHeader)
 	}
-	signed, err := xsec.DecodeSigned(tok)
-	if err != nil {
-		return "", fmt.Errorf("%w: %v", ErrDenied, err)
-	}
-	id, err := s.trust.Verify(msg, signed, s.clock.Now())
+	id, err := s.trust.VerifyToken(tok, msg, s.clock.Now())
 	if err != nil {
 		return "", fmt.Errorf("%w: %v", ErrDenied, err)
 	}

@@ -72,3 +72,39 @@ func BenchmarkVerifyChainOnly(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkVerifyTokenWarm is a request on a session whose chain the
+// store has verified before: one Ed25519 verify plus the token decode.
+func BenchmarkVerifyTokenWarm(b *testing.B) {
+	_, _, proxy, ts := benchSetup(b)
+	msg := []byte("submit job with some payload attached to it")
+	tok := tokenFor(b, proxy, msg)
+	at := t0.Add(time.Minute)
+	if _, err := ts.VerifyToken(tok, msg, at); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ts.VerifyToken(tok, msg, at); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkVerifyTokenCold forgets the memo before every request, so
+// each one decodes and walks the whole chain.
+func BenchmarkVerifyTokenCold(b *testing.B) {
+	ca, _, proxy, ts := benchSetup(b)
+	msg := []byte("submit job with some payload attached to it")
+	tok := tokenFor(b, proxy, msg)
+	at := t0.Add(time.Minute)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ts.Add(ca.Cert)
+		if _, err := ts.VerifyToken(tok, msg, at); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -22,6 +22,8 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -87,12 +89,6 @@ func (c *Certificate) tbs() []byte {
 		panic("xsec: tbs marshal: " + err.Error())
 	}
 	return b
-}
-
-// Fingerprint returns a short stable identifier for the certificate.
-func (c *Certificate) Fingerprint() string {
-	h := sha256.Sum256(c.tbs())
-	return hex.EncodeToString(h[:8])
 }
 
 // ValidAt reports whether the validity window covers at.
@@ -226,28 +222,75 @@ func proxyDepth(chain []Certificate) int {
 	return n
 }
 
-// TrustStore holds the CA certificates a verifier accepts.
+// memoCap bounds the verified-chain memo of a TrustStore. A session's
+// chain is one entry for the proxy's lifetime, so the bound only has to
+// cover the sessions in flight at once.
+const memoCap = 256
+
+// TrustStore holds the CA certificates a verifier accepts, plus a
+// bounded memo of chains VerifyToken has already verified. It is safe
+// for concurrent use.
 type TrustStore struct {
+	mu    sync.RWMutex
 	roots map[string]Certificate // by subject
+	memo  map[[sha256.Size]byte]memoEntry
+	// gen counts Add calls; a verification that started under an older
+	// generation is not memoised.
+	gen uint64
+	// walks counts full chain walks (VerifyChain calls), for tests.
+	walks atomic.Int64
+}
+
+// memoEntry is what a successful chain verification leaves behind: the
+// leaf key that signs each request, the identity, and the window in
+// which every certificate the verification looked at is valid.
+type memoEntry struct {
+	leaf                ed25519.PublicKey
+	identity            string
+	notBefore, notAfter time.Time
 }
 
 // NewTrustStore builds a store from root certificates.
 func NewTrustStore(roots ...Certificate) *TrustStore {
-	ts := &TrustStore{roots: make(map[string]Certificate, len(roots))}
+	ts := &TrustStore{
+		roots: make(map[string]Certificate, len(roots)),
+		memo:  make(map[[sha256.Size]byte]memoEntry),
+	}
 	for _, r := range roots {
 		ts.roots[r.Subject] = r
 	}
 	return ts
 }
 
-// Add registers another trusted root.
-func (ts *TrustStore) Add(root Certificate) { ts.roots[root.Subject] = root }
+// Add registers another trusted root. Replacing a root can invalidate
+// a memoised verification, so Add forgets them all.
+func (ts *TrustStore) Add(root Certificate) {
+	ts.mu.Lock()
+	ts.roots[root.Subject] = root
+	clear(ts.memo)
+	ts.gen++
+	ts.mu.Unlock()
+}
+
+func (ts *TrustStore) root(subject string) (Certificate, bool) {
+	ts.mu.RLock()
+	r, ok := ts.roots[subject]
+	ts.mu.RUnlock()
+	return r, ok
+}
+
+// verifySig is ed25519.Verify without its panic on a malformed key:
+// chain keys arrive from the network.
+func verifySig(pub ed25519.PublicKey, msg, sig []byte) bool {
+	return len(pub) == ed25519.PublicKeySize && ed25519.Verify(pub, msg, sig)
+}
 
 // VerifyChain checks a leaf-first chain at instant at: every signature,
 // every validity window, the proxy delegation rules, and that the chain
 // terminates at a trusted CA. On success it returns the end-entity
 // identity the chain speaks for.
 func (ts *TrustStore) VerifyChain(chain []Certificate, at time.Time) (string, error) {
+	ts.walks.Add(1)
 	if len(chain) == 0 {
 		return "", ErrEmptyChain
 	}
@@ -263,7 +306,7 @@ func (ts *TrustStore) VerifyChain(chain []Certificate, at time.Time) (string, er
 		}
 		if i+1 < len(chain) {
 			parent := &chain[i+1]
-			if !ed25519.Verify(parent.PublicKey, cert.tbs(), cert.Signature) {
+			if !verifySig(parent.PublicKey, cert.tbs(), cert.Signature) {
 				return "", fmt.Errorf("%w: %s not signed by %s", ErrBadSignature, cert.Subject, parent.Subject)
 			}
 			if cert.Issuer != parent.Subject {
@@ -296,16 +339,16 @@ func (ts *TrustStore) VerifyChain(chain []Certificate, at time.Time) (string, er
 	// cert whose issuer we trust.
 	last := &chain[len(chain)-1]
 	if last.Kind == KindCA {
-		root, ok := ts.roots[last.Subject]
+		root, ok := ts.root(last.Subject)
 		if !ok || !sameCert(&root, last) {
 			return "", ErrUntrusted
 		}
 	} else {
-		root, ok := ts.roots[last.Issuer]
+		root, ok := ts.root(last.Issuer)
 		if !ok {
 			return "", ErrUntrusted
 		}
-		if !ed25519.Verify(root.PublicKey, last.tbs(), last.Signature) {
+		if !verifySig(root.PublicKey, last.tbs(), last.Signature) {
 			return "", fmt.Errorf("%w: %s not signed by trusted root", ErrBadSignature, last.Subject)
 		}
 		if !root.ValidAt(at) {
@@ -350,10 +393,90 @@ func (ts *TrustStore) Verify(msg []byte, s *Signed, at time.Time) (string, error
 		return "", err
 	}
 	h := sha256.Sum256(msg)
-	if !ed25519.Verify(s.Chain[0].PublicKey, h[:], s.Signature) {
+	if !verifySig(s.Chain[0].PublicKey, h[:], s.Signature) {
 		return "", ErrBadSignature
 	}
 	return id, nil
+}
+
+// VerifyToken authenticates msg under an EncodeSigned token at instant
+// at and returns the end-entity identity: the same answer as
+// DecodeSigned followed by Verify, without walking a chain again that
+// already verified. The memo is keyed by the SHA-256 of the token's
+// exact chain bytes and holds the leaf key, the identity and the
+// window in which every certificate checked (the trusted root included)
+// is valid. Outside that window the chain is walked afresh, so expiry
+// reports the same error as a cold verification; the request signature
+// is checked against the leaf key every time, and failures are never
+// memoised.
+func (ts *TrustStore) VerifyToken(tok string, msg []byte, at time.Time) (string, error) {
+	w, err := decodeToken(tok)
+	if err != nil {
+		return "", err
+	}
+	key := sha256.Sum256(w.Chain)
+	ts.mu.RLock()
+	e, hit := ts.memo[key]
+	gen := ts.gen
+	ts.mu.RUnlock()
+	if !hit || at.Before(e.notBefore) || at.After(e.notAfter) {
+		chain, err := decodeChain(w.Chain)
+		if err != nil {
+			return "", err
+		}
+		id, err := ts.VerifyChain(chain, at)
+		if err != nil {
+			return "", err
+		}
+		e = ts.remember(key, gen, chain, id, at)
+	}
+	h := sha256.Sum256(msg)
+	if !verifySig(e.leaf, h[:], w.Signature) {
+		return "", ErrBadSignature
+	}
+	return e.identity, nil
+}
+
+// remember memoises a chain that verified at instant at under root
+// generation gen and returns its entry. When the memo is full, entries
+// already expired at at go first, then arbitrary ones.
+func (ts *TrustStore) remember(key [sha256.Size]byte, gen uint64, chain []Certificate, id string, at time.Time) memoEntry {
+	e := memoEntry{leaf: chain[0].PublicKey, identity: id, notBefore: chain[0].NotBefore, notAfter: chain[0].NotAfter}
+	narrow := func(c *Certificate) {
+		if c.NotBefore.After(e.notBefore) {
+			e.notBefore = c.NotBefore
+		}
+		if c.NotAfter.Before(e.notAfter) {
+			e.notAfter = c.NotAfter
+		}
+	}
+	for i := range chain {
+		narrow(&chain[i])
+	}
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	if gen != ts.gen {
+		return e // a root changed under the walk: answer it, keep nothing
+	}
+	if last := &chain[len(chain)-1]; last.Kind != KindCA {
+		root := ts.roots[last.Issuer]
+		narrow(&root)
+	}
+	if len(ts.memo) >= memoCap {
+		for k, old := range ts.memo {
+			if old.notAfter.Before(at) {
+				delete(ts.memo, k)
+			}
+		}
+		for k := range ts.memo {
+			if len(ts.memo) < memoCap {
+				break
+			}
+			delete(ts.memo, k)
+		}
+	}
+	ts.memo[key] = e
+	return e
 }
 
 // Marshal encodes a credential for storage or wire transport.
@@ -368,29 +491,6 @@ func UnmarshalCredential(b []byte) (*Credential, error) {
 	return &c, nil
 }
 
-// MarshalChain encodes a bare chain (public half) as base64 JSON, the form
-// embedded in protocol headers.
-func MarshalChain(chain []Certificate) (string, error) {
-	b, err := json.Marshal(chain)
-	if err != nil {
-		return "", err
-	}
-	return base64.StdEncoding.EncodeToString(b), nil
-}
-
-// UnmarshalChain reverses MarshalChain.
-func UnmarshalChain(s string) ([]Certificate, error) {
-	b, err := base64.StdEncoding.DecodeString(s)
-	if err != nil {
-		return nil, fmt.Errorf("xsec: decode chain: %w", err)
-	}
-	var chain []Certificate
-	if err := json.Unmarshal(b, &chain); err != nil {
-		return nil, fmt.Errorf("xsec: decode chain: %w", err)
-	}
-	return chain, nil
-}
-
 // EncodeSigned encodes a Signed token for a protocol header.
 func EncodeSigned(s *Signed) (string, error) {
 	b, err := json.Marshal(s)
@@ -402,15 +502,46 @@ func EncodeSigned(s *Signed) (string, error) {
 
 // DecodeSigned reverses EncodeSigned.
 func DecodeSigned(s string) (*Signed, error) {
+	w, err := decodeToken(s)
+	if err != nil {
+		return nil, err
+	}
+	chain, err := decodeChain(w.Chain)
+	if err != nil {
+		return nil, err
+	}
+	return &Signed{Chain: chain, Signature: w.Signature}, nil
+}
+
+// wireToken is a Signed token with its chain still in wire form, so
+// VerifyToken can key its memo on the exact chain bytes.
+type wireToken struct {
+	Chain     json.RawMessage `json:"chain"`
+	Signature []byte          `json:"signature"`
+}
+
+func decodeToken(s string) (wireToken, error) {
+	var w wireToken
 	b, err := base64.StdEncoding.DecodeString(s)
 	if err != nil {
+		return w, fmt.Errorf("xsec: decode signed token: %w", err)
+	}
+	if err := json.Unmarshal(b, &w); err != nil {
+		return w, fmt.Errorf("xsec: decode signed token: %w", err)
+	}
+	return w, nil
+}
+
+// decodeChain decodes a token's chain bytes; an absent chain is empty.
+func decodeChain(raw json.RawMessage) ([]Certificate, error) {
+	if len(raw) == 0 {
+		return nil, nil
+	}
+	var chain []Certificate
+	if err := json.Unmarshal(raw, &chain); err != nil {
 		return nil, fmt.Errorf("xsec: decode signed token: %w", err)
 	}
-	var out Signed
-	if err := json.Unmarshal(b, &out); err != nil {
-		return nil, fmt.Errorf("xsec: decode signed token: %w", err)
-	}
-	return &out, nil
+	return chain, nil
 }
 
 func newSerial() string {

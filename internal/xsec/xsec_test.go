@@ -244,26 +244,6 @@ func TestCredentialMarshalRoundTrip(t *testing.T) {
 	}
 }
 
-func TestChainWireRoundTrip(t *testing.T) {
-	ca := newCA(t)
-	alice := newUser(t, ca, "alice")
-	enc, err := MarshalChain(alice.Chain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chain, err := UnmarshalChain(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := NewTrustStore(ca.Cert)
-	if _, err := ts.VerifyChain(chain, t0.Add(time.Minute)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := UnmarshalChain("%%%"); err == nil {
-		t.Fatal("garbage chain accepted")
-	}
-}
-
 func TestIdentityHelper(t *testing.T) {
 	ca := newCA(t)
 	alice := newUser(t, ca, "alice")
@@ -273,18 +253,6 @@ func TestIdentityHelper(t *testing.T) {
 	}
 	if got := Identity(nil); got != "" {
 		t.Fatalf("empty identity %q", got)
-	}
-}
-
-func TestFingerprintStableAndDistinct(t *testing.T) {
-	ca := newCA(t)
-	a := newUser(t, ca, "a")
-	b := newUser(t, ca, "b")
-	if a.Leaf().Fingerprint() != a.Leaf().Fingerprint() {
-		t.Fatal("fingerprint not stable")
-	}
-	if a.Leaf().Fingerprint() == b.Leaf().Fingerprint() {
-		t.Fatal("distinct certs share fingerprint")
 	}
 }
 

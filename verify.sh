@@ -32,12 +32,14 @@ go test -race -short ./...
 # gateway (concurrent bursts racing a mid-burst appliance kill and
 # rejoin: health FSM transitions fed by probes and proxies at once,
 # the replicated UDDI view written by peer pushes while resolves read
-# it), and the tenant control plane (concurrent admits racing quota
-# release, key rotation mid-burst, DRR wakeups racing timeouts) are
-# the concurrency hot spots: run their packages fresh
+# it), the tenant control plane (concurrent admits racing quota
+# release, key rotation mid-burst, DRR wakeups racing timeouts), and
+# the trust store's verified-chain memo (one store shared by the
+# gatekeeper and every GridFTP server, read by concurrent requests
+# while Add clears it) are the concurrency hot spots: run their packages fresh
 # (-count=1 defeats the test cache) so cached "ok" lines can never
 # mask a newly introduced race.
-go test -race -count=1 ./internal/core ./internal/blobdb ./internal/cyberaide ./internal/gram ./internal/gridsim ./internal/gridftp ./internal/netsim ./internal/portal ./internal/soap ./internal/trace ./internal/gateway ./internal/tenant
+go test -race -count=1 ./internal/core ./internal/blobdb ./internal/cyberaide ./internal/gram ./internal/gridsim ./internal/gridftp ./internal/netsim ./internal/portal ./internal/soap ./internal/trace ./internal/gateway ./internal/tenant ./internal/xsec
 
 # Every invocation must reach exactly one terminal state naming the
 # right cause on every run, not on most: repeat the lifecycle matrix,
@@ -57,7 +59,12 @@ test -s "$tmp/submit.json"
 # mutation engine briefly too: the admission edge parses attacker
 # bytes (the key header) and evaluates attacker patterns (policy
 # globs), and the upload form walker parses attacker bodies and must
-# agree with the stdlib multipart parse, so none may ever panic.
+# agree with the stdlib multipart parse, so none may ever panic. The
+# grid servers verify attacker tokens through the chain memo, which
+# must agree with the uncached DecodeSigned + Verify; its interesting
+# inputs are kilobyte tokens, so minimisation is capped to leave the
+# smoke time for mutation.
 go test -run='^$' -fuzz=FuzzKeyHeader -fuzztime=5s ./internal/tenant
 go test -run='^$' -fuzz=FuzzPolicyMatch -fuzztime=5s ./internal/tenant
 go test -run='^$' -fuzz=FuzzUploadForm -fuzztime=5s ./internal/portal
+go test -run='^$' -fuzz=FuzzVerifyToken -fuzztime=5s -fuzzminimizetime=1s ./internal/xsec
