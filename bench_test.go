@@ -345,9 +345,7 @@ func BenchmarkAblationWALGroupCommit(b *testing.B) {
 // conservative backfill with reservations.
 func BenchmarkSchedulerPolicies(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		// Moderate dilation: the workload's walltime slack (5 virtual
-		// seconds) must stay above host scheduling jitter.
-		res, err := experiments.SchedulerPolicies(300)
+		res, err := experiments.SchedulerPolicies()
 		if err != nil {
 			b.Fatal(err)
 		}

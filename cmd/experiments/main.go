@@ -89,7 +89,7 @@ func studies() []study {
 		{abl, "ablation staging-cache", "", func() (result, error) { return experiments.AblationStagingCache(o, 768, 3) }},
 		{abl, "ablation poll-interval", "", func() (result, error) { return experiments.AblationPolling(o, nil) }},
 		{abl, "ablation compression", "", func() (result, error) { return experiments.AblationCompression(o, 4096) }},
-		{abl, "ablation schedulers", "", func() (result, error) { return experiments.SchedulerPolicies(*scale) }},
+		{abl, "ablation schedulers", "", func() (result, error) { return experiments.SchedulerPolicies() }},
 		{*all || *hotpath, "hotpath", "hotpath.json", func() (result, error) {
 			res, err := experiments.AblationHotPath(o, 256, 3)
 			if err != nil {

@@ -51,16 +51,14 @@ type Config struct {
 	// UserProfile shapes the appliance's user-facing listener (the LAN of
 	// Fig. 8); nil leaves it unshaped.
 	UserProfile *netsim.Profile
-	// PollInterval / InvocationTimeout / ProxyLifetime tune the onServe
-	// pipeline; zero values use the core defaults.
+	// PollInterval / InvocationTimeout tune the onServe pipeline; zero
+	// values use the core defaults.
 	PollInterval      time.Duration
 	InvocationTimeout time.Duration
-	ProxyLifetime     time.Duration
-	// StagingCache / DirectDBWrite / UseLongPoll select the ablation and
-	// extension variants (see core.Config).
+	// StagingCache / DirectDBWrite select the ablation variants (see
+	// core.Config).
 	StagingCache  bool
 	DirectDBWrite bool
-	UseLongPoll   bool
 	// SessionCache / StatsTTL select the invocation hot-path caches (see
 	// core.Config); both default to the paper-faithful behaviour.
 	SessionCache bool
@@ -209,10 +207,8 @@ func (img *Image) Boot(ln net.Listener) (*Appliance, error) {
 		Cost:               cfg.Cost,
 		PollInterval:       cfg.PollInterval,
 		InvocationTimeout:  cfg.InvocationTimeout,
-		ProxyLifetime:      cfg.ProxyLifetime,
 		StagingCache:       cfg.StagingCache,
 		DirectDBWrite:      cfg.DirectDBWrite,
-		UseLongPoll:        cfg.UseLongPoll,
 		SessionCache:       cfg.SessionCache,
 		StatsTTL:           cfg.StatsTTL,
 		PollHub:            cfg.PollHub,

@@ -331,8 +331,6 @@ func (o *OnServe) invoke(serviceName string, args map[string]string, root *trace
 		o.events.register(inv)
 	case o.hub != nil:
 		o.hub.adopt(inv, 0)
-	case o.cfg.UseLongPoll:
-		go o.waitLongPoll(inv)
 	default:
 		go o.pollOutput(inv)
 	}
@@ -734,36 +732,6 @@ func (o *OnServe) pollOutput(inv *Invocation) {
 			o.settle(inv, st.State, st.Message)
 			return
 		}
-	}
-}
-
-// waitLongPoll is the fixed collection path: block on the gatekeeper's
-// long-poll wait, then fetch the output exactly once.
-func (o *OnServe) waitLongPoll(inv *Invocation) {
-	for !inv.State().Terminal() {
-		// The span is recorded only for the round that observes the
-		// terminal state; elapsed or failed rounds abandon it unrecorded.
-		ps := o.cfg.Tracing.StartSpan("poll", inv.collectCtx())
-		ps.Set("long_poll", "true")
-		o.collector.statusRPCs.Add(1)
-		st, err := o.cfg.Agent.Wait(inv.sessionID, inv.JobID, 30*time.Second)
-		if err != nil {
-			// Transient gatekeeper trouble: back off one poll interval and
-			// retry until the watchdog decides.
-			o.clock.Sleep(o.cfg.PollInterval)
-			continue
-		}
-		if _, terminal := remoteStates[st.State]; !terminal {
-			continue // long-poll round elapsed without a terminal state
-		}
-		if out, err := o.cfg.Agent.Output(inv.sessionID, inv.JobID); err == nil {
-			o.storeOutput(inv, out)
-			ps.SetInt("bytes", int64(len(out)))
-		}
-		ps.Set("state", st.State)
-		ps.End()
-		o.settle(inv, st.State, st.Message)
-		return
 	}
 }
 

@@ -22,13 +22,12 @@ func (c *cancelCounter) RoundTrip(req *http.Request) (*http.Response, error) {
 	return http.DefaultTransport.RoundTrip(req)
 }
 
-// lifecyclePaths are the four output collectors an invocation can ride.
+// lifecyclePaths are the three output collectors an invocation can ride.
 var lifecyclePaths = []struct {
 	name   string
 	mutate func(*Config)
 }{
 	{"stock", func(*Config) {}},
-	{"longpoll", func(c *Config) { c.UseLongPoll = true }},
 	{"hub", func(c *Config) { c.PollHub = true }},
 	{"push", func(c *Config) { c.PushEvents = true }},
 }

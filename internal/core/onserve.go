@@ -105,12 +105,6 @@ type Config struct {
 	// ("the file is first stored temporarily and then in the database");
 	// the fix is benchmarked as an ablation.
 	DirectDBWrite bool
-	// UseLongPoll replaces the tentative output polling with the GRAM
-	// long-poll wait extension: one blocking request per invocation
-	// instead of periodic output fetches. This is the fix for the
-	// paper's workaround ("the local client has to request the output
-	// tentatively"), benchmarked in the poll-interval ablation.
-	UseLongPoll bool
 	// SessionCache, when true, reuses one authenticated agent session per
 	// owner across invocations until the delegated proxy nears expiry,
 	// instead of performing a fresh MyProxy logon per invocation (the
@@ -140,7 +134,9 @@ type Config struct {
 	// hub is measured as an ablation.
 	PollHub bool
 	// PushEvents replaces polling altogether with the gatekeeper's
-	// long-lived event stream: one /gram/events connection per session
+	// long-lived event stream — the fix for the paper's workaround ("the
+	// local client has to request the output tentatively"), benchmarked
+	// in the poll-interval ablation. One /gram/events connection per session
 	// multiplexes every job's state transitions and stdout-version bumps,
 	// so steady-state status RPCs drop to ~zero and completion is
 	// detected at push-delivery latency instead of the poll interval.
@@ -227,7 +223,7 @@ type OnServe struct {
 	// hub is the sharded poller (Config.PollHub); nil runs the stock
 	// per-invocation collection paths.
 	hub *pollHub
-	// collector tallies the output-collection work all four paths do.
+	// collector tallies the output-collection work all three paths do.
 	collector collectorCounters
 	// events is the push-based collector (Config.PushEvents); nil routes
 	// registrations to the hub or the stock pollers.

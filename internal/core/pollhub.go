@@ -10,14 +10,14 @@ import (
 )
 
 // CollectorStats counts the work the output-collection path performs,
-// whichever path is active: the stock tentative poller, the long-poll
-// wait, the sharded poll hub, or the push collector (whose resyncs and
-// output fetches count here too). The poll-hub ablation reads it to
+// whichever path is active: the stock tentative poller, the sharded
+// poll hub, or the push collector (whose resyncs and output fetches
+// count here too). The poll-interval and poll-hub ablations read it to
 // compare gatekeeper round-trips, bytes fetched and disk writes across
 // variants.
 type CollectorStats struct {
 	// StatusRPCs is the number of gatekeeper status round-trips: one per
-	// Status/Wait call, one per status-batch chunk.
+	// Status call, one per status-batch chunk.
 	StatusRPCs uint64 `json:"status_rpcs"`
 	// OutputFetches counts output fetches that returned a body.
 	OutputFetches uint64 `json:"output_fetches"`

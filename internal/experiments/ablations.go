@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/appliance"
 	"repro/internal/gsh"
 	"repro/internal/metrics"
 )
@@ -133,7 +134,9 @@ func AblationStagingCache(opts Options, fileKB, invocations int) (*AblationResul
 // AblationPolling sweeps the tentative-poll interval, quantifying the
 // paper's worry that the workaround "may result in a service customer
 // that requests the application's output more often than necessary which
-// may reduce the network performance even more".
+// may reduce the network performance even more". The poll hub (at the
+// 3 s interval) and the push collector run the same job beside the
+// stock intervals.
 func AblationPolling(opts Options, intervals []time.Duration) (*AblationResult, error) {
 	if len(intervals) == 0 {
 		intervals = []time.Duration{3 * time.Second, 9 * time.Second, 30 * time.Second}
@@ -141,37 +144,41 @@ func AblationPolling(opts Options, intervals []time.Duration) (*AblationResult, 
 	res := &AblationResult{Notes: []string{
 		"a 60s job polled at each interval; faster polling means more traffic and disk writes",
 		"but slower polling delays completion detection (latency beyond job end)",
-		"longpoll is the gatekeeper wait extension: one blocking request, near-zero latency",
+		"hub batches status per session every 3s and spills stdout only when its version moved",
+		"push learns of each transition over one gatekeeper event stream per session",
 	}}
-	type variantCfg struct {
-		name     string
-		interval time.Duration
-		longPoll bool
+	type variant struct {
+		name string
+		set  func(*appliance.Config)
 	}
-	variants := []variantCfg{{name: "longpoll", longPoll: true}}
+	var variants []variant
 	for _, iv := range intervals {
-		variants = append(variants, variantCfg{name: iv.String(), interval: iv})
+		variants = append(variants, variant{iv.String(), func(c *appliance.Config) { c.PollInterval = iv }})
 	}
+	variants = append(variants,
+		variant{"hub", func(c *appliance.Config) { c.PollHub = true; c.PollInterval = 3 * time.Second }},
+		variant{"push", func(c *appliance.Config) { c.PushEvents = true }},
+	)
 	for _, v := range variants {
 		o := opts
-		o.App.UseLongPoll = v.longPoll
-		if v.interval > 0 {
-			o.App.PollInterval = v.interval
-		}
+		v.set(&o.App)
 		err := withRig(o, func(r *rig) error {
 			proxy, err := r.publish("polljob.gsh", "emit 6s 10 progress-line\n")
 			if err != nil {
 				return err
 			}
 			r.rec.Reset()
+			before := r.app.OnServe.CollectorStats()
 			start := r.clock.Now()
 			if _, _, err := invokeWait(proxy, nil); err != nil {
 				return err
 			}
 			elapsed := r.clock.Now().Sub(start).Seconds()
+			rpcs := r.app.OnServe.CollectorStats().StatusRPCs - before.StatusRPCs
 			sum := seriesSummary(r.rec.Series())
 			res.Rows = append(res.Rows,
 				AblationRow{Study: "poll-interval", Variant: v.name, Metric: "poll_disk_write_kb", Value: sum["disk_write_total_b"] / 1024},
+				AblationRow{Study: "poll-interval", Variant: v.name, Metric: "status_rpcs", Value: float64(rpcs)},
 				AblationRow{Study: "poll-interval", Variant: v.name, Metric: "completion_latency_s", Value: elapsed - 60},
 			)
 			return nil

@@ -189,8 +189,26 @@ func TestAblationPolling(t *testing.T) {
 		t.Fatal(err)
 	}
 	vals := ablationMap(res)
+	for _, v := range []string{"3s", "30s", "hub", "push"} {
+		for _, m := range []string{"poll_disk_write_kb", "status_rpcs", "completion_latency_s"} {
+			if _, ok := vals["poll-interval/"+v+"/"+m]; !ok {
+				t.Fatalf("missing row %s/%s: %v", v, m, vals)
+			}
+		}
+	}
 	if vals["poll-interval/3s/poll_disk_write_kb"] <= vals["poll-interval/30s/poll_disk_write_kb"] {
 		t.Fatalf("faster polling should write more: %v", vals)
+	}
+	// Push learns of completion over its event stream: fewer status
+	// round-trips than any poll interval.
+	for _, v := range []string{"3s", "30s"} {
+		if vals["poll-interval/push/status_rpcs"] >= vals["poll-interval/"+v+"/status_rpcs"] {
+			t.Fatalf("push should need fewer status RPCs than stock %s: %v", v, vals)
+		}
+	}
+	// The hub spills stdout only when its version moved.
+	if vals["poll-interval/hub/poll_disk_write_kb"] > vals["poll-interval/3s/poll_disk_write_kb"] {
+		t.Fatalf("hub should write no more than the 3s stock poller: %v", vals)
 	}
 }
 

@@ -44,10 +44,7 @@ func (r *SchedulerResult) Render() string {
 // disciplines. The production-grid substrate is a real system in its own
 // right; this ablation documents the fairness/throughput trade of the
 // backfill choice DESIGN.md calls out.
-func SchedulerPolicies(scale float64) (*SchedulerResult, error) {
-	if scale <= 0 {
-		scale = 2000
-	}
+func SchedulerPolicies() (*SchedulerResult, error) {
 	res := &SchedulerResult{Notes: []string{
 		"workload: 6 wide jobs (8 cpus, 20s) interleaved with 24 narrow jobs (1 cpu, 5s) on 16 slots",
 		"aggressive: narrow jobs overtake freely; wide jobs wait longest",
@@ -57,7 +54,7 @@ func SchedulerPolicies(scale float64) (*SchedulerResult, error) {
 	for _, policy := range []gridsim.Policy{
 		gridsim.PolicyAggressive, gridsim.PolicyFCFS, gridsim.PolicyConservative,
 	} {
-		row, err := runPolicyWorkload(policy, scale)
+		row, err := runPolicyWorkload(policy)
 		if err != nil {
 			return nil, err
 		}
@@ -66,8 +63,14 @@ func SchedulerPolicies(scale float64) (*SchedulerResult, error) {
 	return res, nil
 }
 
-func runPolicyWorkload(policy gridsim.Policy, scale float64) (*SchedulerRow, error) {
-	clk := vtime.NewScaled(scale)
+// runPolicyWorkload runs the workload on one site under a manual clock.
+// Every duration in it is a whole number of seconds, so the driver steps
+// the clock one second at a time, and only once every job is parked on
+// it: a descheduled goroutine then stretches the run's wall time but
+// never its virtual timeline, so no job overruns its walltime because
+// the host was busy.
+func runPolicyWorkload(policy gridsim.Policy) (*SchedulerRow, error) {
+	clk := vtime.NewManual(time.Unix(0, 0).UTC())
 	site := gridsim.NewSite(gridsim.SiteConfig{
 		Name: "abl", Nodes: 2, CoresPerNode: 8, Policy: policy,
 	}, clk)
@@ -100,12 +103,20 @@ func runPolicyWorkload(policy gridsim.Policy, scale float64) (*SchedulerRow, err
 			narrow = append(narrow, j)
 		}
 	}
-	for _, j := range append(append([]*gridsim.Job{}, wide...), narrow...) {
-		select {
-		case <-j.Done():
-		case <-time.After(30 * time.Second):
-			return nil, fmt.Errorf("schedpolicy: %s stuck in %s under %s", j.ID, j.State(), policy)
+	jobs := append(append([]*gridsim.Job{}, wide...), narrow...)
+	for {
+		if err := awaitParked(clk, site, jobs); err != nil {
+			return nil, fmt.Errorf("schedpolicy: %w under %s", err, policy)
 		}
+		if allDone(jobs) {
+			break
+		}
+		if clk.Now().Sub(start) > time.Hour {
+			return nil, fmt.Errorf("schedpolicy: workload still running after an hour under %s", policy)
+		}
+		clk.Advance(time.Second)
+	}
+	for _, j := range jobs {
 		if j.State() != gridsim.Succeeded {
 			return nil, fmt.Errorf("schedpolicy: %s ended %s (%s) under %s",
 				j.ID, j.State(), j.ExitMessage(), policy)
@@ -118,6 +129,54 @@ func runPolicyWorkload(policy gridsim.Policy, scale float64) (*SchedulerRow, err
 		MeanWaitWideS:  meanWait(wide),
 		MeanWaitNarrow: meanWait(narrow),
 	}, nil
+}
+
+// awaitParked waits, in real time, until parked holds.
+func awaitParked(clk *vtime.Manual, site *gridsim.Site, jobs []*gridsim.Job) error {
+	deadline := time.Now().Add(30 * time.Second)
+	for !parked(clk, site, jobs) {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("jobs not parked on the clock after 30s (%d sleepers)", clk.Pending())
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	return nil
+}
+
+// parked reports whether every job is at rest: queued, finished, or
+// running with both of its sleepers registered (the gsh compute
+// statement and the site's walltime timer). A finished job's walltime
+// timer stays registered until its deadline passes. A job in any other
+// step shows up either as a missing sleeper or as slots held by no
+// running job (dispatched but not yet marked running). The sleeper count
+// only grows between clock steps, so an unchanged count brackets a
+// consistent read of the job states.
+func parked(clk *vtime.Manual, site *gridsim.Site, jobs []*gridsim.Job) bool {
+	sleepers := clk.Pending()
+	free := site.Stats().FreeSlots
+	now := clk.Now()
+	want, held := 0, 0
+	for _, j := range jobs {
+		_, started, _ := j.Times()
+		switch st := j.State(); {
+		case st == gridsim.Running:
+			want += 2
+			held += j.Desc.CPUs
+		case st.Terminal() && started.Add(j.Desc.WallTime).After(now):
+			want++
+		}
+	}
+	return sleepers == want && site.Slots()-free == held &&
+		clk.Pending() == sleepers && site.Stats().FreeSlots == free
+}
+
+func allDone(jobs []*gridsim.Job) bool {
+	for _, j := range jobs {
+		if !j.State().Terminal() {
+			return false
+		}
+	}
+	return true
 }
 
 func meanWait(jobs []*gridsim.Job) float64 {

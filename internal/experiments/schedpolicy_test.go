@@ -6,14 +6,7 @@ import (
 )
 
 func TestSchedulerPolicies(t *testing.T) {
-	// The workload's walltime slack (5s virtual) must stay well above
-	// host scheduling jitter, which time dilation amplifies and the race
-	// detector inflates further.
-	scale := 300.0
-	if raceEnabled {
-		scale = 100
-	}
-	res, err := SchedulerPolicies(scale)
+	res, err := SchedulerPolicies()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,7 +62,7 @@ func TestAddUserAndAuthenticateThroughStack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := gc.Wait(id, time.Hour)
+	st, err := gc.WaitTerminal(id, clk, time.Second, time.Hour)
 	if err != nil || st.State != "DONE" {
 		t.Fatalf("job %v err %v", st, err)
 	}

@@ -93,13 +93,16 @@ func (c *Scaled) Sleep(d time.Duration) {
 	time.Sleep(time.Duration(float64(d) / c.scale))
 }
 
-// After implements Clock.
+// After implements Clock. The send rides a runtime timer rather than a
+// parked goroutine, so a caller that stops listening (a watchdog whose
+// invocation settled first) leaves nothing running behind.
 func (c *Scaled) After(d time.Duration) <-chan time.Time {
 	ch := make(chan time.Time, 1)
-	go func() {
-		c.Sleep(d)
+	if d <= 0 {
 		ch <- c.Now()
-	}()
+		return ch
+	}
+	time.AfterFunc(time.Duration(float64(d)/c.scale), func() { ch <- c.Now() })
 	return ch
 }
 

@@ -1,6 +1,7 @@
 package vtime
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -56,6 +57,31 @@ func TestScaledAfter(t *testing.T) {
 	case <-c.After(time.Second):
 	case <-time.After(2 * time.Second):
 		t.Fatal("After(1s virtual) did not fire within 2s real at 1000x")
+	}
+}
+
+func TestScaledAfterNonPositiveFiresImmediately(t *testing.T) {
+	c := NewScaled(10)
+	for _, d := range []time.Duration{0, -time.Second} {
+		select {
+		case <-c.After(d):
+		default:
+			t.Fatalf("After(%v) not ready at once", d)
+		}
+	}
+}
+
+func TestScaledAfterHoldsNoGoroutine(t *testing.T) {
+	// A watchdog that outlives its invocation abandons its After channel;
+	// an hour of virtual time is 90 s of real time at 40x, which must not
+	// cost a parked goroutine per call.
+	c := NewScaled(40)
+	before := runtime.NumGoroutine()
+	for i := 0; i < 200; i++ {
+		c.After(time.Hour)
+	}
+	if grown := runtime.NumGoroutine() - before; grown >= 10 {
+		t.Fatalf("200 pending After calls grew the goroutine count by %d", grown)
 	}
 }
 

@@ -36,10 +36,12 @@ go test -race -short ./...
 # release, key rotation mid-burst, DRR wakeups racing timeouts), and
 # the trust store's verified-chain memo (one store shared by the
 # gatekeeper and every GridFTP server, read by concurrent requests
-# while Add clears it) are the concurrency hot spots: run their packages fresh
+# while Add clears it), and the scaled clock (whose After channels are
+# fed from runtime timer callbacks) are the concurrency hot spots: run
+# their packages fresh
 # (-count=1 defeats the test cache) so cached "ok" lines can never
 # mask a newly introduced race.
-go test -race -count=1 ./internal/core ./internal/blobdb ./internal/cyberaide ./internal/gram ./internal/gridsim ./internal/gridftp ./internal/netsim ./internal/portal ./internal/soap ./internal/trace ./internal/gateway ./internal/tenant ./internal/xsec
+go test -race -count=1 ./internal/core ./internal/blobdb ./internal/cyberaide ./internal/gram ./internal/gridsim ./internal/gridftp ./internal/netsim ./internal/portal ./internal/soap ./internal/trace ./internal/gateway ./internal/tenant ./internal/xsec ./internal/vtime
 
 # Every invocation must reach exactly one terminal state naming the
 # right cause on every run, not on most: repeat the lifecycle matrix,
